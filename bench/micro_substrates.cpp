@@ -11,6 +11,7 @@
 #include "common/crc32.h"
 #include "common/hash.h"
 #include "common/path.h"
+#include "daemon/metadata_merge.h"
 #include "kv/db.h"
 #include "kv/merge.h"
 #include "net/fabric.h"
@@ -91,13 +92,14 @@ struct KvFixture {
   std::filesystem::path dir;
   std::unique_ptr<kv::DB> db;
 
-  KvFixture() {
+  explicit KvFixture(std::shared_ptr<const kv::MergeOperator> merge_op =
+                         std::make_shared<kv::U64MaxMergeOperator>()) {
     dir = std::filesystem::temp_directory_path() /
           ("gekko_kvbench_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     kv::Options opts;
     opts.background_compaction = true;
-    opts.merge_operator = std::make_shared<kv::U64MaxMergeOperator>();
+    opts.merge_operator = std::move(merge_op);
     db = std::move(*kv::DB::open(dir, opts));
   }
   ~KvFixture() {
@@ -161,6 +163,28 @@ void BM_KvMergeSizeUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KvMergeSizeUpdate);
+
+// The daemon's stat: a point get of one file's metadata record after N
+// size updates (the metadata merge operator, as the daemon runs it).
+// The merge-chain bound (kv::kMaxSuccessiveMerges) keeps the fold this
+// get pays flat in N.
+void BM_KvGetAfterSizeUpdates(benchmark::State& state) {
+  KvFixture fx(std::make_shared<daemon::MetadataMergeOperator>());
+  const std::string key = "/shared/file";
+  proto::Metadata md;
+  md.type = proto::FileType::regular;
+  (void)fx.db->insert(key, md.encode());
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    (void)fx.db->merge(key, daemon::encode_size_operand(
+                                daemon::SizeOp::grow_to, i * 8192, 0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.db->get(key));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KvGetAfterSizeUpdates)->Arg(0)->Arg(16)->Arg(3072);
 
 // ---------- chunk storage ----------
 

@@ -245,7 +245,7 @@ Result<std::vector<std::uint8_t>> GekkoDaemon::on_truncate_metadata_(
   auto req = proto::TruncateRequest::decode(payload_view(msg));
   if (!req) return req.status();
   // Verify existence first: truncate of a missing file must ENOENT,
-  // and a size-set merge would otherwise resurrect it.
+  // while set_size alone would drop the update silently.
   auto md = metadata_->get(req->path);
   if (!md) return md.status();
   if (md->is_directory()) return Errc::is_directory;
@@ -609,6 +609,10 @@ void GekkoDaemon::publish_backend_metrics_() {
   registry_->gauge("kv.gets").set(static_cast<std::int64_t>(ks.gets));
   registry_->gauge("kv.deletes").set(static_cast<std::int64_t>(ks.deletes));
   registry_->gauge("kv.merges").set(static_cast<std::int64_t>(ks.merges));
+  // Size updates committed as a folded Put (merge chain at its bound,
+  // or no base in the active memtable).
+  registry_->gauge("kv.merge_folds").set(
+      static_cast<std::int64_t>(ks.merge_folds));
   registry_->gauge("kv.flushes").set(static_cast<std::int64_t>(ks.flushes));
   registry_->gauge("kv.compactions").set(
       static_cast<std::int64_t>(ks.compactions));

@@ -28,12 +28,9 @@ Result<proto::Metadata> MetadataBackend::get(std::string_view path) {
 }
 
 Result<proto::Metadata> MetadataBackend::remove(std::string_view path) {
-  auto value = db_->get(path);
-  if (!value) return value.status();
-  auto md = proto::Metadata::decode(*value);
-  if (!md) return md.status();
-  GEKKO_RETURN_IF_ERROR(db_->remove_existing(path));
-  return md;
+  std::string old_value;
+  GEKKO_RETURN_IF_ERROR(db_->remove_existing(path, {}, &old_value));
+  return proto::Metadata::decode(old_value);
 }
 
 Status MetadataBackend::create_batch(
@@ -81,16 +78,25 @@ Status MetadataBackend::remove_batch(const std::vector<std::string>& paths,
   return Status::ok();
 }
 
+namespace {
+/// A size update that lost the race against an unlink finds no live
+/// record: dropping it is the success case, not an error.
+Status ok_if_absent(Status st) {
+  return st.code() == Errc::not_found ? Status::ok() : st;
+}
+}  // namespace
+
 Status MetadataBackend::update_size(std::string_view path,
                                     std::uint64_t observed_size,
                                     std::int64_t mtime_ns) {
-  return db_->merge(
-      path, encode_size_operand(SizeOp::grow_to, observed_size, mtime_ns));
+  return ok_if_absent(db_->merge_existing(
+      path, encode_size_operand(SizeOp::grow_to, observed_size, mtime_ns)));
 }
 
 Status MetadataBackend::set_size(std::string_view path,
                                  std::uint64_t new_size) {
-  return db_->merge(path, encode_size_operand(SizeOp::set_to, new_size, 0));
+  return ok_if_absent(db_->merge_existing(
+      path, encode_size_operand(SizeOp::set_to, new_size, 0)));
 }
 
 Result<std::vector<proto::Dirent>> MetadataBackend::dirents(

@@ -31,7 +31,7 @@ class MetadataBackend {
 
   /// Remove and return the old record (the client uses its size to
   /// decide whether chunk cleanup RPCs are needed). Errc::not_found if
-  /// absent.
+  /// absent. One locked lookup both checks and folds the record.
   Result<proto::Metadata> remove(std::string_view path);
 
   /// Batched create: ONE KV lock acquisition and WAL commit for the
@@ -56,11 +56,14 @@ class MetadataBackend {
                       std::vector<proto::Metadata>* old_mds);
 
   /// Contention-free size fold (merge operand, see metadata_merge.h).
+  /// A path with no live record is left absent and the call returns
+  /// ok: a writer's late size update racing another rank's unlink must
+  /// not resurrect the file.
   Status update_size(std::string_view path, std::uint64_t observed_size,
                      std::int64_t mtime_ns);
 
-  /// Set exact size (truncate). Read-modify-write is acceptable here;
-  /// truncate is rare in HPC workloads.
+  /// Set exact size (truncate), as a merge operand. Same absent-path
+  /// rule as update_size.
   Status set_size(std::string_view path, std::uint64_t new_size);
 
   /// Direct children of `dir` stored on THIS daemon (one shard of the

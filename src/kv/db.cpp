@@ -193,14 +193,12 @@ Status DB::erase(std::string_view key, const WriteOptions& wo) {
 
 Status DB::merge(std::string_view key, std::string_view operand,
                  const WriteOptions& wo) {
-  if (!options_.merge_operator) {
-    return Status{Errc::not_supported, "no merge operator configured"};
-  }
-  WriteBatch batch;
-  batch.merge(key, operand);
-  Status st = write(batch, wo);
-  if (st.is_ok()) ops_.merges.fetch_add(1, std::memory_order_relaxed);
-  return st;
+  return merge_(key, operand, /*must_exist=*/false, wo);
+}
+
+Status DB::merge_existing(std::string_view key, std::string_view operand,
+                          const WriteOptions& wo) {
+  return merge_(key, operand, /*must_exist=*/true, wo);
 }
 
 Status DB::write(const WriteBatch& batch, const WriteOptions& wo) {
@@ -215,6 +213,11 @@ Status DB::lookup_locked_(std::string_view key, std::uint64_t snap,
                           LookupResult* lr) {
   mem_->get(key, snap, lr);
   if (lr->state != LookupState::not_present) return Status::ok();
+  return lookup_older_locked_(key, snap, lr);
+}
+
+Status DB::lookup_older_locked_(std::string_view key, std::uint64_t snap,
+                                LookupResult* lr) {
   for (auto it = imms_.rbegin(); it != imms_.rend(); ++it) {
     it->mem->get(key, snap, lr);
     if (lr->state != LookupState::not_present) return Status::ok();
@@ -234,6 +237,47 @@ bool lookup_exists(const LookupResult& lr) {
 }
 }  // namespace
 
+Status DB::merge_(std::string_view key, std::string_view operand,
+                  bool must_exist, const WriteOptions& wo) {
+  if (!options_.merge_operator) {
+    return Status{Errc::not_supported, "no merge operator configured"};
+  }
+  throttle_();
+  UniqueLock lock(mutex_);
+  if (background_error_set_) return background_error_;
+  const std::uint64_t snap = versions_.last_sequence();
+  LookupResult lr;
+  mem_->get(key, snap, &lr);
+  // The operand may only stack onto a value base in the active memtable
+  // whose chain is below the bound; every other case folds. So each
+  // chain sits on a base in its own memtable (and later its own L0
+  // table), and no lookup at any snapshot meets more than
+  // kMaxSuccessiveMerges operands.
+  const bool append = lr.state == LookupState::found &&
+                      lr.pending_merges.size() < kMaxSuccessiveMerges;
+  if (lr.state == LookupState::not_present) {
+    GEKKO_RETURN_IF_ERROR(lookup_older_locked_(key, snap, &lr));
+  }
+  if (must_exist && !lookup_exists(lr)) return Errc::not_found;
+
+  WriteBatch batch;
+  if (append) {
+    batch.merge(key, operand);
+  } else {
+    // Same left fold a get performs, with the new operand as the
+    // newest one: the Put holds exactly the bytes a get would return.
+    lr.pending_merges.emplace(lr.pending_merges.begin(), operand);
+    auto folded = fold_merges_(key, lr);
+    if (!folded) return folded.status();
+    batch.put(key, *folded);
+  }
+  GEKKO_RETURN_IF_ERROR(
+      write_locked_(batch, wo.sync || options_.wal_sync, lock));
+  ops_.merges.fetch_add(1, std::memory_order_relaxed);
+  if (!append) ++stats_.merge_folds;
+  return Status::ok();
+}
+
 Status DB::insert(std::string_view key, std::string_view value,
                   const WriteOptions& wo) {
   throttle_();
@@ -252,13 +296,17 @@ Status DB::insert(std::string_view key, std::string_view value,
   return st;
 }
 
-Status DB::remove_existing(std::string_view key, const WriteOptions& wo) {
+Status DB::remove_existing(std::string_view key, const WriteOptions& wo,
+                           std::string* old_value) {
   throttle_();
   UniqueLock lock(mutex_);
   if (background_error_set_) return background_error_;
   LookupResult lr;
   GEKKO_RETURN_IF_ERROR(lookup_locked_(key, versions_.last_sequence(), &lr));
   if (!lookup_exists(lr)) return Errc::not_found;
+  if (old_value != nullptr) {
+    GEKKO_RETURN_IF_ERROR(take_value_(key, &lr, old_value));
+  }
 
   WriteBatch batch;
   batch.erase(key);
@@ -328,13 +376,7 @@ Status DB::remove_many(const std::vector<std::string>& keys,
       (*out)[i] = Errc::not_found;
       continue;
     }
-    if (!lr.pending_merges.empty()) {
-      auto folded = fold_merges_(key, lr);
-      if (!folded) return folded.status();
-      (*old_values)[i] = std::move(*folded);
-    } else {
-      (*old_values)[i] = std::move(lr.value);
-    }
+    GEKKO_RETURN_IF_ERROR(take_value_(key, &lr, &(*old_values)[i]));
     batch.erase(key);
     in_batch.insert(key);
     ++accepted;
@@ -859,6 +901,26 @@ Result<std::string> DB::fold_merges_(std::string_view key,
   return acc;
 }
 
+Status DB::take_value_(std::string_view key, LookupResult* lr,
+                       std::string* out) const {
+  if (lr->pending_merges.empty()) {
+    *out = std::move(lr->value);
+    return Status::ok();
+  }
+  auto folded = fold_merges_(key, *lr);
+  if (!folded) return folded.status();
+  *out = std::move(*folded);
+  return Status::ok();
+}
+
+void DB::note_merge_operands_(std::size_t n) const {
+  const auto seen = static_cast<std::uint64_t>(n);
+  std::uint64_t cur = ops_.max_merge_operands.load(std::memory_order_relaxed);
+  while (seen > cur && !ops_.max_merge_operands.compare_exchange_weak(
+                           cur, seen, std::memory_order_relaxed)) {
+  }
+}
+
 Result<std::string> DB::get(std::string_view key, const ReadOptions& ro) {
   ops_.gets.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t snap = ro.snapshot_seq;
@@ -870,6 +932,7 @@ Result<std::string> DB::get(std::string_view key, const ReadOptions& ro) {
   GEKKO_RETURN_IF_ERROR(get_internal_(key, snap, &lr));
 
   if (!lr.pending_merges.empty()) {
+    note_merge_operands_(lr.pending_merges.size());
     return fold_merges_(key, lr);
   }
   switch (lr.state) {
@@ -955,6 +1018,7 @@ Status DB::scan(std::string_view start, std::string_view end,
 
     std::optional<std::string> emit_value;
     if (!lr.pending_merges.empty()) {
+      note_merge_operands_(lr.pending_merges.size());
       auto folded = fold_merges_(user_key, lr);
       if (!folded) return folded.status();
       emit_value = std::move(*folded);
@@ -1076,6 +1140,8 @@ DbStats DB::stats() const {
   s.gets = ops_.gets.load(std::memory_order_relaxed);
   s.deletes = ops_.deletes.load(std::memory_order_relaxed);
   s.merges = ops_.merges.load(std::memory_order_relaxed);
+  s.max_merge_operands =
+      ops_.max_merge_operands.load(std::memory_order_relaxed);
   s.stall_slowdowns = ops_.stall_slowdowns.load(std::memory_order_relaxed);
   s.stall_slowdown_ms =
       ops_.stall_slowdown_us.load(std::memory_order_relaxed) / 1000;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -42,11 +43,28 @@
 
 namespace gekko::kv {
 
+/// Most merge operands a key's chain may hold above its base value.
+/// merge() folds the chain into a fresh Put once it reaches this bound
+/// (RocksDB's max_successive_merges as a fixed invariant), so a point
+/// lookup never folds more than this many operands. Small: a stat then
+/// folds at most a few microseconds of operands, while the fold on
+/// write happens once per kMaxSuccessiveMerges + 1 updates. Kept by
+/// merge()/merge_existing(); merge records in a raw write() batch go in
+/// as they are.
+inline constexpr std::size_t kMaxSuccessiveMerges = 8;
+
 struct DbStats {
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t deletes = 0;
   std::uint64_t merges = 0;
+  /// Merges committed as a folded Put instead of an operand: the key
+  /// had no value base in the active memtable, or its operand chain
+  /// had reached kMaxSuccessiveMerges. Exported as kv.merge_folds.
+  std::uint64_t merge_folds = 0;
+  /// Most merge operands any get()/scan() has folded for one key since
+  /// open: the observable side of the kMaxSuccessiveMerges bound.
+  std::uint64_t max_merge_operands = 0;
   std::uint64_t flushes = 0;
   std::uint64_t compactions = 0;
   std::uint64_t wal_appends = 0;
@@ -108,8 +126,20 @@ class DB {
   Status put(std::string_view key, std::string_view value,
              const WriteOptions& wo = {});
   Status erase(std::string_view key, const WriteOptions& wo = {});
+  /// Fold `operand` into the key's value with the configured merge
+  /// operator; an absent or deleted key folds from no value. Appends
+  /// the operand while the key's chain in the active memtable is short
+  /// enough, else commits the folded result as a Put (see
+  /// kMaxSuccessiveMerges). Either way a later get returns the same
+  /// bytes.
   Status merge(std::string_view key, std::string_view operand,
                const WriteOptions& wo = {});
+  /// merge-if-present: like merge(), but writes nothing and returns
+  /// Errc::not_found when the key has no live record. The existence
+  /// check and the write share one lock hold, so a concurrent remove
+  /// can never leave an operand above its tombstone.
+  Status merge_existing(std::string_view key, std::string_view operand,
+                        const WriteOptions& wo = {});
   Status write(const WriteBatch& batch, const WriteOptions& wo = {});
 
   /// put-if-absent, atomic w.r.t. other writers. Errc::exists if present.
@@ -118,8 +148,11 @@ class DB {
   Status insert(std::string_view key, std::string_view value,
                 const WriteOptions& wo = {});
 
-  /// delete-if-present. Errc::not_found if absent.
-  Status remove_existing(std::string_view key, const WriteOptions& wo = {});
+  /// delete-if-present. Errc::not_found if absent. A non-null
+  /// `old_value` receives the removed value (merge operands folded),
+  /// read by the same locked lookup that decides the delete.
+  Status remove_existing(std::string_view key, const WriteOptions& wo = {},
+                         std::string* old_value = nullptr);
 
   /// Batched put-if-absent: one lock acquisition and ONE WAL append for
   /// every key that passes its existence check (the batched-create hot
@@ -213,6 +246,14 @@ class DB {
   void throttle_();
   Status lookup_locked_(std::string_view key, std::uint64_t snap,
                         LookupResult* lr) GEKKO_REQUIRES(mutex_);
+  /// The part of lookup_locked_ below the active memtable: immutable
+  /// memtables, then SSTs.
+  Status lookup_older_locked_(std::string_view key, std::uint64_t snap,
+                              LookupResult* lr) GEKKO_REQUIRES(mutex_);
+  Status merge_(std::string_view key, std::string_view operand,
+                bool must_exist, const WriteOptions& wo);
+  /// Raise the max_merge_operands watermark to `n` if it is higher.
+  void note_merge_operands_(std::size_t n) const;
   void worker_loop_();
   void fail_background_locked_(const Status& st) GEKKO_REQUIRES(mutex_);
   void release_snapshot_(std::uint64_t seq);
@@ -220,6 +261,9 @@ class DB {
       GEKKO_REQUIRES(mutex_);
   Result<std::string> fold_merges_(std::string_view key,
                                    const LookupResult& lr) const;
+  /// Move a live lookup's value into `out`, folding pending operands.
+  Status take_value_(std::string_view key, LookupResult* lr,
+                     std::string* out) const;
   Status get_internal_(std::string_view key, std::uint64_t snap,
                        LookupResult* lr);
 
@@ -259,6 +303,7 @@ class DB {
     std::atomic<std::uint64_t> gets{0};
     std::atomic<std::uint64_t> deletes{0};
     std::atomic<std::uint64_t> merges{0};
+    std::atomic<std::uint64_t> max_merge_operands{0};
     std::atomic<std::uint64_t> stall_slowdowns{0};
     std::atomic<std::uint64_t> stall_slowdown_us{0};
   };

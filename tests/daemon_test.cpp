@@ -2,7 +2,10 @@
 // operator, dirent sharding, and RPC handlers through a real engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "common/lockdep.h"
 #include "common/metrics.h"
@@ -118,6 +121,107 @@ TEST_F(MetadataBackendTest, UpdateSizeIsMonotonicMax) {
   EXPECT_EQ(mb_->get("/f")->size, 10u);
 }
 
+// A writer's size update that lands after another rank's unlink must
+// not bring the file back: stat, readdir and create all see it gone.
+TEST_F(MetadataBackendTest, LateSizeUpdateDoesNotResurrectRemovedFile) {
+  for (const bool flushed : {false, true}) {
+    SCOPED_TRACE(flushed ? "record in an SST" : "record in the memtable");
+    ASSERT_TRUE(mb_->create("/ghost", regular_md()).is_ok());
+    if (flushed) {
+      ASSERT_TRUE(mb_->db().flush().is_ok());
+    }
+    ASSERT_TRUE(mb_->remove("/ghost").is_ok());
+    if (flushed) {
+      ASSERT_TRUE(mb_->db().flush().is_ok());
+    }
+
+    EXPECT_TRUE(mb_->update_size("/ghost", 4096, 2000).is_ok());
+    EXPECT_TRUE(mb_->set_size("/ghost", 10).is_ok());
+    EXPECT_EQ(mb_->get("/ghost").code(), Errc::not_found);
+    auto entries = mb_->dirents("/");
+    ASSERT_TRUE(entries.is_ok());
+    EXPECT_TRUE(entries->empty());
+    EXPECT_EQ(mb_->remove("/ghost").code(), Errc::not_found);
+
+    ASSERT_TRUE(mb_->create("/ghost", regular_md()).is_ok());
+    auto md = mb_->get("/ghost");
+    ASSERT_TRUE(md.is_ok());
+    EXPECT_EQ(md->size, 0u);
+    ASSERT_TRUE(mb_->remove("/ghost").is_ok());
+  }
+  // A path that never existed stays absent too.
+  EXPECT_TRUE(mb_->update_size("/never", 1, 1).is_ok());
+  EXPECT_EQ(mb_->get("/never").code(), Errc::not_found);
+  EXPECT_EQ(*mb_->entry_count(), 0u);
+}
+
+TEST_F(MetadataBackendTest, RemoveReturnsFoldedRecord) {
+  ASSERT_TRUE(mb_->create("/r", regular_md()).is_ok());
+  ASSERT_TRUE(mb_->update_size("/r", 8192, 3000).is_ok());
+  auto removed = mb_->remove("/r");
+  ASSERT_TRUE(removed.is_ok());
+  EXPECT_EQ(removed->size, 8192u);
+  EXPECT_EQ(removed->mtime_ns, 3000);
+  EXPECT_EQ(mb_->db().stats().gets, 0u);  // one locked lookup, no get
+}
+
+// Three writers fold size updates into one record while a reader stats
+// it, with background flushes underneath (small memtable). Runs under
+// the sanitize label: TSan and lockdep check the lookup merge() now
+// does under the kv.db lock.
+TEST(MetadataBackendConcurrencyTest, WritersMergeWhileReaderStats) {
+  const auto dir = fresh_dir("conc");
+  kv::Options opts;
+  opts.memtable_budget = 8 * 1024;
+  auto mb = MetadataBackend::open(dir, opts);
+  ASSERT_TRUE(mb.is_ok());
+  ASSERT_TRUE((*mb)->create("/shared", regular_md()).is_ok());
+
+  constexpr std::uint64_t kWriters = 3;
+  constexpr std::uint64_t kUpdates = 2000;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      auto md = (*mb)->get("/shared");
+      if (!md.is_ok()) {
+        ADD_FAILURE() << md.status().to_string();
+        return;
+      }
+      EXPECT_GE(md->size, last);  // grow_to folds are monotone
+      last = md->size;
+      reads.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (std::uint64_t i = 1; i <= kUpdates; ++i) {
+        const std::uint64_t size = (i * kWriters + t) * 4096;
+        EXPECT_TRUE((*mb)->update_size("/shared", size,
+                                       static_cast<std::int64_t>(size))
+                        .is_ok());
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+
+  auto md = (*mb)->get("/shared");
+  ASSERT_TRUE(md.is_ok());
+  EXPECT_EQ(md->size, (kUpdates * kWriters + kWriters - 1) * 4096);
+  const kv::DbStats stats = (*mb)->db().stats();
+  EXPECT_EQ(stats.merges, kWriters * kUpdates);
+  EXPECT_GE(stats.merge_folds, kWriters * kUpdates /
+                                   (kv::kMaxSuccessiveMerges + 1));
+  EXPECT_LE(stats.max_merge_operands, kv::kMaxSuccessiveMerges);
+  EXPECT_GT(reads.load(), 0u);
+  mb->reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(MetadataBackendTest, DirentsFilterDirectChildren) {
   proto::Metadata dir_md;
   dir_md.type = proto::FileType::directory;
@@ -203,6 +307,32 @@ TEST_F(DaemonRpcTest, CreateStatRemoveViaRpc) {
   ASSERT_TRUE(remove_resp.is_ok());
   EXPECT_EQ(call(proto::RpcId::stat, stat_req.encode()).code(),
             Errc::not_found);
+}
+
+TEST_F(DaemonRpcTest, LateUpdateSizeAfterRemoveLeavesPathAbsent) {
+  proto::CreateRequest create;
+  create.path = "/ghost";
+  ASSERT_TRUE(call(proto::RpcId::create, create.encode()).is_ok());
+  const proto::PathRequest path_req{"/ghost"};
+  ASSERT_TRUE(
+      call(proto::RpcId::remove_metadata, path_req.encode()).is_ok());
+
+  proto::UpdateSizeRequest late;
+  late.path = "/ghost";
+  late.observed_size = 4096;
+  late.mtime_ns = 2000;
+  EXPECT_TRUE(call(proto::RpcId::update_size, late.encode()).is_ok());
+
+  EXPECT_EQ(call(proto::RpcId::stat, path_req.encode()).code(),
+            Errc::not_found);
+  auto listing =
+      call(proto::RpcId::get_dirents, proto::DirentsRequest{"/"}.encode());
+  ASSERT_TRUE(listing.is_ok());
+  auto dirents = proto::DirentsResponse::decode(std::string_view(
+      reinterpret_cast<const char*>(listing->data()), listing->size()));
+  ASSERT_TRUE(dirents.is_ok());
+  EXPECT_TRUE(dirents->entries.empty());
+  EXPECT_TRUE(call(proto::RpcId::create, create.encode()).is_ok());
 }
 
 TEST_F(DaemonRpcTest, WriteThenReadChunksViaBulk) {

@@ -785,6 +785,68 @@ TEST_F(DbTest, U64MaxMergeOperator) {
   EXPECT_EQ(U64MaxMergeOperator::decode(*db_->get("size")), 200u);
 }
 
+// The merge-chain bound: operands stack onto a value base in the
+// active memtable until the chain holds kMaxSuccessiveMerges of them;
+// the next merge commits the whole fold as a Put.
+TEST_F(DbTest, MergeChainFoldsIntoPutAtBound) {
+  ASSERT_TRUE(db_->put("k", "base").is_ok());
+  std::string want = "base";
+  for (std::size_t i = 0; i < kMaxSuccessiveMerges; ++i) {
+    const std::string op = "o" + std::to_string(i);
+    ASSERT_TRUE(db_->merge("k", op).is_ok());
+    want += "," + op;
+  }
+  EXPECT_EQ(db_->stats().merge_folds, 0u);
+  EXPECT_EQ(*db_->get("k"), want);
+  EXPECT_EQ(db_->stats().max_merge_operands, kMaxSuccessiveMerges);
+
+  ASSERT_TRUE(db_->merge("k", "last").is_ok());  // chain full: fold
+  want += ",last";
+  EXPECT_EQ(db_->stats().merge_folds, 1u);
+  EXPECT_EQ(*db_->get("k"), want);
+  EXPECT_EQ(db_->stats().merge_folds, 1u);
+
+  // No value base in the active memtable (absent, deleted, or only in
+  // an SST after a flush): the merge folds at once.
+  ASSERT_TRUE(db_->merge("fresh", "a").is_ok());
+  ASSERT_TRUE(db_->erase("k").is_ok());
+  ASSERT_TRUE(db_->merge("k", "b").is_ok());
+  ASSERT_TRUE(db_->put("flushed", "c").is_ok());
+  ASSERT_TRUE(db_->flush().is_ok());
+  ASSERT_TRUE(db_->merge("flushed", "d").is_ok());
+  EXPECT_EQ(db_->stats().merge_folds, 4u);
+  EXPECT_EQ(*db_->get("fresh"), "a");
+  EXPECT_EQ(*db_->get("k"), "b");
+  EXPECT_EQ(*db_->get("flushed"), "c,d");
+  EXPECT_EQ(db_->stats().merges, kMaxSuccessiveMerges + 4);
+}
+
+TEST_F(DbTest, MergeExistingWritesNothingWithoutLiveRecord) {
+  EXPECT_EQ(db_->merge_existing("/f", "x").code(), Errc::not_found);
+  EXPECT_EQ(db_->get("/f").code(), Errc::not_found);
+
+  ASSERT_TRUE(db_->insert("/f", "md").is_ok());
+  ASSERT_TRUE(db_->merge_existing("/f", "x").is_ok());
+  EXPECT_EQ(*db_->get("/f"), "md,x");
+
+  ASSERT_TRUE(db_->remove_existing("/f").is_ok());
+  EXPECT_EQ(db_->merge_existing("/f", "y").code(), Errc::not_found);
+  EXPECT_EQ(db_->get("/f").code(), Errc::not_found);
+  EXPECT_EQ(*db_->count_range("/", "0"), 0u);
+  EXPECT_EQ(db_->remove_existing("/f").code(), Errc::not_found);
+  EXPECT_TRUE(db_->insert("/f", "md2").is_ok());
+  EXPECT_EQ(*db_->get("/f"), "md2");
+
+  // Same answer when the record and its tombstone sit in an SST.
+  ASSERT_TRUE(db_->flush().is_ok());
+  ASSERT_TRUE(db_->merge_existing("/f", "z").is_ok());
+  ASSERT_TRUE(db_->remove_existing("/f").is_ok());
+  ASSERT_TRUE(db_->flush().is_ok());
+  EXPECT_EQ(db_->merge_existing("/f", "w").code(), Errc::not_found);
+  EXPECT_EQ(db_->get("/f").code(), Errc::not_found);
+  EXPECT_EQ(db_->stats().merges, 2u);  // dropped merges are not counted
+}
+
 TEST_F(DbTest, BackgroundCompactionMode) {
   Options o = default_options();
   o.background_compaction = true;

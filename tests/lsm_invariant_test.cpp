@@ -3,13 +3,18 @@
 //  - L1+ files are disjoint in user-key ranges and sorted,
 //  - level sizes respect the shape thresholds after compact_all,
 //  - obsolete SST/WAL files are actually deleted from disk,
-//  - MANIFEST reflects exactly the live files (crash-consistent view).
+//  - MANIFEST reflects exactly the live files (crash-consistent view),
+//  - no lookup folds more than kMaxSuccessiveMerges merge operands, and
+//    the bounded chain reads exactly what the unbounded fold would.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
+#include "daemon/metadata_merge.h"
 #include "kv/db.h"
 #include "kv/merge.h"
 
@@ -186,6 +191,172 @@ TEST_F(LsmInvariantTest, ReopenAfterEveryCompactionState) {
       ASSERT_EQ(*got, v) << "phase " << phase << " " << k;
     }
   }
+}
+
+// Differential test for the merge-chain bound. Random size updates
+// (grow_to and set_to, through merge and merge_existing), puts,
+// deletes, memtable switches, background flushes and compactions,
+// snapshots and reopens (WAL replay) run against a few keys; every
+// get, scan and snapshot get must equal an in-memory model that folds
+// every operand with the same operator, and no lookup may meet more
+// than kMaxSuccessiveMerges operands.
+TEST(MergeChainBoundTest, MatchesUnboundedFoldAcrossLsmHistory) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("gekko_chain_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  Options o;
+  o.memtable_budget = 4 * 1024;  // a memtable switch every ~100 ops
+  o.l0_compaction_trigger = 3;
+  o.l1_max_bytes = 32 * 1024;
+  o.target_sst_size = 16 * 1024;
+  o.background_compaction = true;
+  o.compaction_threads = 2;
+  const auto op = std::make_shared<daemon::MetadataMergeOperator>();
+  o.merge_operator = op;
+  auto opened = DB::open(dir, o);
+  ASSERT_TRUE(opened.is_ok());
+  std::unique_ptr<DB> db = std::move(*opened);
+
+  using Model = std::map<std::string, std::string>;
+  Model model;
+  auto fold = [&](Model& m, const std::string& key,
+                  const std::string& operand) {
+    auto it = m.find(key);
+    std::string v = op->merge(key, it == m.end() ? nullptr : &it->second,
+                              operand);
+    m[key] = std::move(v);
+  };
+  auto expect_get = [&](const Model& m, const std::string& key,
+                        const ReadOptions& ro, const std::string& where) {
+    auto got = db->get(key, ro);
+    auto want = m.find(key);
+    if (want == m.end()) {
+      EXPECT_EQ(got.code(), Errc::not_found) << where << " " << key;
+    } else {
+      ASSERT_TRUE(got.is_ok()) << where << " " << key;
+      EXPECT_EQ(*got, want->second) << where << " " << key;
+    }
+  };
+  auto expect_scan = [&](const Model& m, const ReadOptions& ro,
+                         const std::string& where) {
+    Model scanned;
+    ASSERT_TRUE(db->scan_prefix("/", [&](auto k, auto v) {
+                    scanned.emplace(k, v);
+                    return true;
+                  }, ro)
+                    .is_ok());
+    EXPECT_EQ(scanned, m) << where;
+  };
+  auto expect_bound = [&](const std::string& where) {
+    EXPECT_LE(db->stats().max_merge_operands, kMaxSuccessiveMerges)
+        << where;
+  };
+
+  struct Snap {
+    std::shared_ptr<Snapshot> handle;
+    Model model;
+  };
+  std::deque<Snap> snaps;
+  Xoshiro256 rng(0x5eed);
+  std::uint64_t merges = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const std::string key = "/f/" + std::to_string(rng.below(4));
+    const std::uint64_t size = rng.below(1 << 20);
+    const auto mtime = static_cast<std::int64_t>(step);
+    const std::uint64_t pick = rng.below(100);
+    if (pick < 55) {
+      const std::string operand = daemon::encode_size_operand(
+          daemon::SizeOp::grow_to, size, mtime);
+      ASSERT_TRUE(db->merge(key, operand).is_ok()) << where;
+      fold(model, key, operand);
+      ++merges;
+    } else if (pick < 65) {
+      const std::string operand = daemon::encode_size_operand(
+          daemon::SizeOp::set_to, size, mtime);
+      ASSERT_TRUE(db->merge(key, operand).is_ok()) << where;
+      fold(model, key, operand);
+      ++merges;
+    } else if (pick < 73) {
+      const std::string operand = daemon::encode_size_operand(
+          daemon::SizeOp::grow_to, size, mtime);
+      const Status st = db->merge_existing(key, operand);
+      if (model.count(key) != 0) {
+        ASSERT_TRUE(st.is_ok()) << where;
+        fold(model, key, operand);
+        ++merges;
+      } else {
+        ASSERT_EQ(st.code(), Errc::not_found) << where;
+      }
+    } else if (pick < 81) {
+      proto::Metadata md;
+      md.size = size;
+      md.ctime_ns = md.mtime_ns = mtime;
+      ASSERT_TRUE(db->put(key, md.encode()).is_ok()) << where;
+      model[key] = md.encode();
+    } else if (pick < 87) {
+      ASSERT_TRUE(db->erase(key).is_ok()) << where;
+      model.erase(key);
+    } else if (pick < 91) {
+      ASSERT_TRUE(db->flush().is_ok()) << where;
+    } else if (pick < 93) {
+      ASSERT_TRUE(db->compact_all().is_ok()) << where;
+    } else if (pick < 96) {
+      if (snaps.size() < 3) snaps.push_back({db->snapshot(), model});
+    } else if (pick < 98) {
+      if (!snaps.empty()) snaps.pop_front();
+    } else if (pick < 99) {
+      expect_bound(where);
+      snaps.clear();  // a snapshot pins the DB it came from
+      db.reset();
+      auto reopened = DB::open(dir, o);
+      ASSERT_TRUE(reopened.is_ok()) << where;
+      db = std::move(*reopened);
+    } else {
+      expect_scan(model, {}, where);
+      for (const Snap& sn : snaps) {
+        expect_scan(sn.model, ReadOptions{sn.handle->sequence()},
+                    where + " snapshot");
+      }
+    }
+    expect_get(model, "/f/" + std::to_string(rng.below(4)), {}, where);
+    if (!snaps.empty()) {
+      const Snap& sn = snaps[rng.below(snaps.size())];
+      expect_get(sn.model, "/f/" + std::to_string(rng.below(4)),
+                 ReadOptions{sn.handle->sequence()}, where + " snapshot");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_bound("random phase");
+
+  // One hot key takes 10,000 size updates; the chain a stat folds stays
+  // at the bound the whole way.
+  const std::string hot = "/hot";
+  ASSERT_TRUE(db->put(hot, proto::Metadata{}.encode()).is_ok());
+  model[hot] = proto::Metadata{}.encode();
+  const std::uint64_t folds_before = db->stats().merge_folds;
+  constexpr int kHotMerges = 10000;
+  for (int i = 0; i < kHotMerges; ++i) {
+    const auto kind = i % 97 == 0 ? daemon::SizeOp::set_to
+                                  : daemon::SizeOp::grow_to;
+    const std::string operand = daemon::encode_size_operand(
+        kind, rng.below(1 << 30), static_cast<std::int64_t>(i));
+    ASSERT_TRUE(db->merge(hot, operand).is_ok()) << i;
+    fold(model, hot, operand);
+    if (i % 100 == 0) expect_get(model, hot, {}, "hot " + std::to_string(i));
+  }
+  expect_get(model, hot, {}, "hot");
+  expect_scan(model, {}, "hot");
+  const DbStats stats = db->stats();
+  EXPECT_LE(stats.max_merge_operands, kMaxSuccessiveMerges);
+  EXPECT_GT(stats.max_merge_operands, 0u);
+  EXPECT_GE(stats.merge_folds - folds_before,
+            kHotMerges / (kMaxSuccessiveMerges + 1));
+  EXPECT_GT(merges, 10000u);  // the random phase merged too
+
+  snaps.clear();
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
