@@ -2,7 +2,7 @@
 // vs one-RPC-per-op, on the real stack (client -> RPC -> daemon ->
 // LSM KV), emitting BENCH_metadata_scale.json.
 //
-// Three mdtest passes against a 4-daemon in-process cluster with
+// Two mdtest passes against a 4-daemon in-process cluster with
 // background compaction ON and a deliberately small memtable budget so
 // the create storm drives many flushes and L0->L1 compactions while
 // the foreground keeps writing:
@@ -11,11 +11,8 @@
 //   batched    bulk phases: create_many/stat_many/remove_many in
 //              chunks of 128 (client shards each chunk per daemon and
 //              fans out batch_create / batch_stat / batch_remove)
-//   coalesced  classic single-op API again, but with the client-side
-//              Batcher enabled (informational: what transparent
-//              coalescing buys synchronous one-at-a-time callers)
 //
-// Total files created across the passes exceeds one million.
+// Total files created across the passes reaches one million.
 //
 // Acceptance gates (gate_ok in the JSON, nonzero exit on failure):
 //   - batched create ops/s >= 3x unbatched create ops/s
@@ -23,7 +20,6 @@
 //     writer ever hard-blocked on the compaction pipeline
 //
 //   metadata_scale [output.json]   (default: BENCH_metadata_scale.json)
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -44,7 +40,6 @@ constexpr std::uint32_t kDaemons = 4;
 constexpr std::uint32_t kProcs = 8;
 constexpr std::uint32_t kUnbatchedFiles = 25'000;   // x8 procs = 200k
 constexpr std::uint32_t kBatchedFiles = 100'000;    // x8 procs = 800k
-constexpr std::uint32_t kCoalescedFiles = 2'000;    // x8 procs =  16k
 constexpr std::uint32_t kBatchSize = 256;
 
 struct KvTotals {
@@ -89,7 +84,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_metadata_scale.json";
   print_header(
       "METADATA SCALE — batched metadata RPCs + stall-free compaction\n"
-      "(4 daemons, >1M files total; gates: batched creates >= 3x\n"
+      "(4 daemons, 1M files total; gates: batched creates >= 3x\n"
       " unbatched, kv.stall.foreground_ms == 0 with background\n"
       " compaction on)");
 
@@ -104,8 +99,8 @@ int main(int argc, char** argv) {
   KvTotals kvt;
   std::vector<std::uint64_t> batched_puts;
   const auto run_pass =
-      [&](const char* name, const workload::MdtestConfig& md,
-          const client::ClientOptions& copts) -> Result<workload::MdtestResult> {
+      [&](const char* name,
+          const workload::MdtestConfig& md) -> Result<workload::MdtestResult> {
     cluster::ClusterOptions opts;
     opts.nodes = kDaemons;
     opts.root = root / name;
@@ -115,7 +110,7 @@ int main(int argc, char** argv) {
     opts.daemon_options.kv_options.memtable_budget = 1 * 1024 * 1024;
     auto c = cluster::Cluster::start(opts);
     if (!c.is_ok()) return c.status();
-    auto mount = (*c)->mount(copts);
+    auto mount = (*c)->mount();
     workload::GekkoAdapter fs(*mount);
     auto r = workload::run_mdtest(fs, md);
     if (!r.is_ok()) return r.status();
@@ -137,7 +132,7 @@ int main(int argc, char** argv) {
   // Pass 1: classic one-RPC-per-op mdtest.
   md.files_per_proc = kUnbatchedFiles;
   md.base_dir = "/md_unbatched";
-  auto unbatched = run_pass("unbatched", md, {});
+  auto unbatched = run_pass("unbatched", md);
   if (!unbatched.is_ok()) {
     std::fprintf(stderr, "unbatched pass failed: %s\n",
                  unbatched.status().to_string().c_str());
@@ -148,31 +143,17 @@ int main(int argc, char** argv) {
   md.files_per_proc = kBatchedFiles;
   md.base_dir = "/md_batched";
   md.batch_size = kBatchSize;
-  auto batched = run_pass("batched", md, {});
+  auto batched = run_pass("batched", md);
   if (!batched.is_ok()) {
     std::fprintf(stderr, "batched pass failed: %s\n",
                  batched.status().to_string().c_str());
     return 1;
   }
 
-  // Pass 3: single-op API with the transparent client-side Batcher.
-  client::ClientOptions copts;
-  copts.batch.enabled = true;
-  copts.batch.max_entries = kProcs;  // flush as soon as all ranks queue
-  copts.batch.max_delay = std::chrono::milliseconds(1);
-  md.files_per_proc = kCoalescedFiles;
-  md.base_dir = "/md_coalesced";
-  md.batch_size = 0;
-  auto coalesced = run_pass("coalesced", md, copts);
-  if (!coalesced.is_ok()) {
-    std::fprintf(stderr, "coalesced pass failed: %s\n",
-                 coalesced.status().to_string().c_str());
-    return 1;
-  }
   kvt.puts_per_daemon = batched_puts;
   const std::uint64_t total_files =
       static_cast<std::uint64_t>(kProcs) *
-      (kUnbatchedFiles + kBatchedFiles + kCoalescedFiles);
+      (kUnbatchedFiles + kBatchedFiles);
   const double speedup =
       unbatched->create.ops_per_sec > 0
           ? batched->create.ops_per_sec / unbatched->create.ops_per_sec
@@ -180,9 +161,7 @@ int main(int argc, char** argv) {
   const std::uint64_t errors =
       unbatched->create.errors + unbatched->stat.errors +
       unbatched->remove.errors + batched->create.errors +
-      batched->stat.errors + batched->remove.errors +
-      coalesced->create.errors + coalesced->stat.errors +
-      coalesced->remove.errors;
+      batched->stat.errors + batched->remove.errors;
   const bool gate_ok = speedup >= 3.0 && kvt.stall_foreground_ms == 0 &&
                        errors == 0;
 
@@ -232,10 +211,6 @@ int main(int argc, char** argv) {
   phase_json("create", batched->create, ",");
   phase_json("stat", batched->stat, ",");
   phase_json("remove", batched->remove, "");
-  std::fprintf(f, "  },\n  \"coalesced\": {\n");
-  phase_json("create", coalesced->create, ",");
-  phase_json("stat", coalesced->stat, ",");
-  phase_json("remove", coalesced->remove, "");
   std::fprintf(f, "  },\n  \"kv\": {\n");
   std::fprintf(f,
                "    \"flushes\": %llu,\n    \"compactions\": %llu,\n"

@@ -30,7 +30,6 @@
 #include "common/metrics.h"
 #include "daemon/daemon.h"
 #include "fs/mount.h"
-#include "net/tcp_fabric.h"
 #include "net/transport.h"
 
 using namespace gekko;
@@ -60,7 +59,7 @@ Result<Point> run_point(const std::filesystem::path& hostfile,
   for (std::uint32_t c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
       net::MakeFabricOptions fopts;
-      fopts.tcp_event_loops = 1;  // one loop thread per client fabric
+      fopts.event_loops = 1;  // one loop thread per client fabric
       auto fabric = net::make_fabric(hostfile, fopts);
       if (!fabric) {
         failures.fetch_add(1);
@@ -126,7 +125,8 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
 
-  auto hostfile = net::TcpFabric::write_hostfile(root / "net", kDaemons);
+  auto hostfile =
+      net::write_hostfile(root / "net", kDaemons, net::Transport::tcp);
   if (!hostfile) {
     std::fprintf(stderr, "hostfile: %s\n",
                  hostfile.status().to_string().c_str());

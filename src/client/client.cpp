@@ -123,10 +123,6 @@ Client::Client(net::Fabric& fabric, std::vector<net::EndpointId> daemons,
     if (rpc_opts.max_attempts <= 1) rpc_opts.max_attempts = 3;
   }
   engine_ = std::make_unique<rpc::Engine>(fabric_, rpc_opts);
-  if (options_.batch.enabled) {
-    batcher_ = std::make_unique<Batcher>(*engine_, daemons_, options_.batch,
-                                         *registry_);
-  }
 }
 
 Result<std::vector<std::uint8_t>> Client::finish_or_retry_(
@@ -156,16 +152,6 @@ Status Client::create(std::string_view path, proto::FileType type,
                       std::uint32_t mode) {
   OpTrace op(engine_->tracer(), "client.create", "create");
   const std::uint32_t target = distributor_->metadata_target(path);
-  if (batcher_) {
-    proto::BatchCreateRequest::Entry entry;
-    entry.path = std::string(path);
-    entry.type = static_cast<std::uint8_t>(type);
-    entry.mode = mode;
-    entry.ctime_ns = now_ns();
-    const Errc e =
-        batcher_->enqueue_create(target, std::move(entry)).wait();
-    return e == Errc::ok ? Status::ok() : Status{e};
-  }
   proto::CreateRequest req;
   req.path = std::string(path);
   req.type = static_cast<std::uint8_t>(type);
@@ -190,12 +176,6 @@ Result<proto::Metadata> Client::stat(std::string_view path) {
   }
   m_.stat_cache_misses->inc();
   const std::uint32_t target = distributor_->metadata_target(path);
-  if (batcher_) {
-    auto outcome = batcher_->enqueue_stat(target, key).wait();
-    if (outcome.status != Errc::ok) return outcome.status;
-    stat_cache_.store(key, outcome.md);
-    return outcome.md;
-  }
   proto::PathRequest req{std::string(path)};
   auto resp = engine_->forward(endpoint_of_(target),
                                proto::to_wire(RpcId::stat), req.encode());
@@ -218,13 +198,6 @@ Status Client::remove(std::string_view path) {
   size_cache_.forget(std::string(path));
   stat_cache_.invalidate(std::string(path));
   const std::uint32_t target = distributor_->metadata_target(path);
-  if (batcher_) {
-    auto outcome =
-        batcher_->enqueue_remove(target, std::string(path)).wait();
-    if (outcome.status != Errc::ok) return outcome.status;
-    if (outcome.old_size == 0 || outcome.was_directory) return Status::ok();
-    return remove_data_everywhere_(path);
-  }
   proto::PathRequest req{std::string(path)};
   auto resp =
       engine_->forward(endpoint_of_(target),
@@ -456,10 +429,6 @@ Status Client::remove_batch(const std::vector<std::string>& paths,
     if (!st.is_ok()) (*out)[i] = st.code();
   }
   return Status::ok();
-}
-
-void Client::flush_batches() {
-  if (batcher_) batcher_->flush_all();
 }
 
 Status Client::truncate(std::string_view path, std::uint64_t new_size) {

@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "client/batcher.h"
 #include "client/size_cache.h"
 #include "client/stat_cache.h"
 #include "common/result.h"
@@ -38,10 +37,6 @@ struct ClientOptions {
   /// future-work item #2; see client/stat_cache.h for the trade.
   std::chrono::milliseconds stat_cache_ttl{0};
   rpc::EngineOptions rpc_options;
-  /// Metadata-RPC coalescing (batcher.h). Off by default: single ops go
-  /// out as single RPCs; enabled, create/stat/remove singles queue per
-  /// daemon and ship as batch RPCs (count/bytes/deadline flush).
-  BatchOptions batch;
   /// Metric sink (forwarding-layer counters, fan-out histograms).
   /// nullptr = metrics::Registry::global(). Also seeds the engine's
   /// registry unless rpc_options.registry is set explicitly.
@@ -93,10 +88,6 @@ class Client {
                     std::vector<proto::Metadata>* mds);
   Status remove_batch(const std::vector<std::string>& paths,
                       std::vector<Errc>* out);
-  /// Drain the single-op coalescing queues (no-op when batching is
-  /// off). Barrier before reading cluster-wide state the batched ops
-  /// should be visible in.
-  void flush_batches();
 
   // -- data ----------------------------------------------------------------
   /// Returns bytes written (always all of `data` on success).
@@ -185,9 +176,6 @@ class Client {
     metrics::Histogram* read_fanout;   // daemons touched per read()
   };
   ClientMetrics m_;
-  /// Single-op coalescing queues (options_.batch.enabled). Declared
-  /// last: its destructor flushes through engine_, so it must die first.
-  std::unique_ptr<Batcher> batcher_;
 };
 
 /// Wall-clock nanoseconds (client-stamped ctimes/mtimes).

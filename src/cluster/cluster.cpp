@@ -2,8 +2,6 @@
 
 #include "common/fileio.h"
 #include "common/logging.h"
-#include "net/socket_fabric.h"
-#include "net/tcp_fabric.h"
 
 namespace gekko::cluster {
 
@@ -26,14 +24,11 @@ Result<std::unique_ptr<Cluster>> Cluster::start(ClusterOptions options) {
 
   // Hosted transports: write the hostfile first (the address is what
   // selects the transport from here on).
-  if (c->options_.transport == ClusterTransport::uds) {
-    auto hostfile = net::SocketFabric::write_hostfile(
-        c->options_.root / "net", c->options_.nodes);
-    if (!hostfile) return hostfile.status();
-    c->hostfile_ = std::move(*hostfile);
-  } else if (c->options_.transport == ClusterTransport::tcp) {
-    auto hostfile = net::TcpFabric::write_hostfile(c->options_.root / "net",
-                                                   c->options_.nodes);
+  if (c->options_.transport != ClusterTransport::loopback) {
+    auto hostfile = net::write_hostfile(
+        c->options_.root / "net", c->options_.nodes,
+        c->options_.transport == ClusterTransport::tcp ? net::Transport::tcp
+                                                       : net::Transport::uds);
     if (!hostfile) return hostfile.status();
     c->hostfile_ = std::move(*hostfile);
   }

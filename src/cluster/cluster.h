@@ -23,8 +23,8 @@ namespace gekko::cluster {
 /// What the cluster's daemons and mounts talk over.
 enum class ClusterTransport {
   loopback,  // one shared in-process LoopbackFabric (the default)
-  uds,       // one SocketFabric per daemon/mount over Unix sockets
-  tcp,       // one TcpFabric per daemon/mount over real TCP + epoll
+  uds,       // one stream fabric per daemon/mount over Unix sockets
+  tcp,       // one stream fabric per daemon/mount over real TCP
 };
 
 struct ClusterOptions {

@@ -45,9 +45,6 @@ inline constexpr int kFileMap = 120;        // client file map
 inline constexpr int kStatCache = 130;      // client stat cache
 inline constexpr int kSizeCache = 135;      // client size-update cache
 inline constexpr int kClientStats = 140;    // client op counters
-inline constexpr int kClientBatcher = 150;  // metadata-RPC coalescing queues
-                                            // (flushes forward with it
-                                            // DROPPED — rpc ranks are higher)
 // -- rpc engine --
 inline constexpr int kEngineRpcTable = 200; // handler registration table
 inline constexpr int kEngineMetrics = 210;  // caller-metrics slot fill
@@ -57,19 +54,14 @@ inline constexpr int kHeartbeat = 250;      // heartbeat monitor lifecycle
 // -- fabric / transport --
 inline constexpr int kFabricInjector = 300; // fault-injector slot
 inline constexpr int kLoopback = 310;       // loopback inbox table
-inline constexpr int kSocketConn = 320;     // socket routing maps
-inline constexpr int kTcpConn = 322;        // tcp routing maps
-inline constexpr int kTcpLoop = 326;        // tcp event-loop conn registry
-                                            // (acquired under kTcpConn when
-                                            // a dial adopts the new conn)
-inline constexpr int kSocketReply = 330;    // pending reply routes
-inline constexpr int kTcpReply = 332;       // tcp pending reply routes
-inline constexpr int kSocketBulk = 340;     // pending writable regions
-inline constexpr int kTcpBulk = 342;        // tcp pending writable regions
-inline constexpr int kSocketWrite = 350;    // per-connection write lock
-inline constexpr int kTcpOut = 352;         // tcp per-connection send queue
-inline constexpr int kSocketStats = 360;    // traffic counters
-inline constexpr int kTcpStats = 362;       // tcp traffic counters
+inline constexpr int kStreamConn = 320;     // stream-fabric routing maps
+inline constexpr int kStreamLoop = 326;     // event-loop conn registry
+                                            // (acquired under kStreamConn
+                                            // when a dial adopts the conn)
+inline constexpr int kStreamReply = 330;    // pending reply routes
+inline constexpr int kStreamBulk = 340;     // pending writable regions
+inline constexpr int kStreamOut = 350;      // per-connection send queue
+inline constexpr int kStreamStats = 360;    // traffic counters
 inline constexpr int kHttpExporter = 366;   // /metrics http listener state
 inline constexpr int kBulkDirty = 370;      // BulkRegion dirty ranges
 // -- baseline --

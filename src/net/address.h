@@ -17,7 +17,7 @@ using EndpointId = std::uint32_t;
 inline constexpr EndpointId kInvalidEndpoint =
     std::numeric_limits<EndpointId>::max();
 
-// Id-space split (socket transport)
+// Id-space split (stream transport)
 // ---------------------------------
 //   [0, kClientEndpointBase)              daemon ids: dense hostfile
 //       ids, low so `hash % n_daemons` addresses them directly.
@@ -25,7 +25,7 @@ inline constexpr EndpointId kInvalidEndpoint =
 //       low 30 bits derived from the process pid mixed with a
 //       per-process random salt (pids alone are only 22–24 bits wide
 //       and recycle, so two client processes could otherwise collide;
-//       see client_endpoint_id() in socket_fabric.cpp).
+//       see wire::derive_client_endpoint_id() in frame_codec.cpp).
 //   kInvalidEndpoint (all ones)           never a valid address.
 //
 // Daemons route replies by (requester id, seq), so a client-id

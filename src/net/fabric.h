@@ -5,10 +5,10 @@
 // regions support one-sided-style transfers. Two implementations:
 //  - LoopbackFabric (here): all endpoints in one process; bulk ops are
 //    memcpys. Used by tests, benches, and the in-process cluster.
-//  - SocketFabric (socket_fabric.h): endpoints across PROCESSES over
-//    Unix-domain sockets with a hostfile, for real `gkfsd` daemons.
-//    Bulk data is inlined into frames (Mercury's send/recv fallback
-//    path when RDMA is unavailable).
+//  - TcpFabric (tcp_fabric.h), the stream fabric: endpoints across
+//    PROCESSES over Unix-domain or TCP sockets named in a hostfile,
+//    for real `gkfsd` daemons. Bulk data is inlined into frames
+//    (Mercury's send/recv fallback path when RDMA is unavailable).
 #pragma once
 
 #include <atomic>
@@ -56,9 +56,9 @@ struct FaultAction {
   /// Deliver the message twice (retransmission race).
   bool duplicate = false;
   /// Sever the transport link the message would travel over BEFORE
-  /// transmitting. SocketFabric shuts the connection down (the next
-  /// send redials); the loopback fabric has no connections and treats
-  /// this as dropping the message.
+  /// transmitting. The stream fabric shuts the connection down (the
+  /// next send redials); the loopback fabric has no connections and
+  /// treats this as dropping the message.
   bool kill_connection = false;
   /// Sleep this long on the sender's thread before transmitting.
   std::chrono::milliseconds delay{0};

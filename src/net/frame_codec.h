@@ -1,6 +1,5 @@
-// Wire-frame codec shared by every stream transport (SocketFabric
-// over Unix-domain sockets, TcpFabric over TCP). One frame on the
-// wire is:
+// Wire-frame codec of the stream fabric (TcpFabric, over Unix-domain
+// or TCP sockets). One frame on the wire is:
 //
 //   [u32 frame_len][kind u8][rpc_id u16][seq u64][source u32]
 //   [trace_id u64][parent_span u64][payload str][bulk_mode u8]
@@ -83,7 +82,7 @@ struct EncodedFrame {
     return kLenPrefixBytes + frame_len;
   }
   /// External (gathered, not copied) segment count — the
-  /// fabric.writev_segments metric counts these.
+  /// <family>.writev_segments metric counts these.
   [[nodiscard]] std::size_t segment_count() const noexcept {
     return ext.size();
   }

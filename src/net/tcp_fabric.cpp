@@ -14,6 +14,7 @@
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "common/fileio.h"
@@ -69,9 +71,54 @@ Result<sockaddr_in> resolve_ipv4(const std::string& hostport) {
   return sa;
 }
 
-void set_nodelay(int fd) {
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+/// Pending-connection queue of a listening socket.
+constexpr int kListenBacklog = 128;
+
+/// Bytes one recv asks for: the default, and the most it asks for when
+/// finishing a large frame.
+constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr std::size_t kMaxReadChunk = 4 << 20;
+
+/// Requested send buffer of a Unix-domain socket. The default (about
+/// 208 KiB) is smaller than one 1 MiB bulk frame, so the inline
+/// sendmsg would stop mid-frame and the tail be copied onto the send
+/// queue; with this buffer a frame of up to several MiB leaves in one
+/// call, gathered from the caller's region. The kernel caps the value
+/// at net.core.wmem_max. It bounds unread bytes in flight; nothing is
+/// allocated up front.
+constexpr int kUnixSendBuffer = 4 << 20;
+
+struct SockAddr {
+  sockaddr_storage storage{};
+  socklen_t len = 0;
+  [[nodiscard]] const sockaddr* get() const {
+    return reinterpret_cast<const sockaddr*>(&storage);
+  }
+};
+
+/// Resolve one hostfile address: "host:port" becomes AF_INET, anything
+/// else a Unix-domain socket path.
+Result<SockAddr> resolve_address(const std::string& address) {
+  SockAddr sa;
+  if (looks_like_tcp_address(address)) {
+    auto in = resolve_ipv4(address);
+    if (!in) return in.status();
+    std::memcpy(&sa.storage, &*in, sizeof(*in));
+    sa.len = sizeof(*in);
+    return sa;
+  }
+  sockaddr_un un{};
+  un.sun_family = AF_UNIX;
+  // Silently truncating would bind or dial a different (likely
+  // nonexistent) socket and report a confusing error instead of the
+  // actual misconfiguration.
+  if (address.size() >= sizeof(un.sun_path)) {
+    return Status{Errc::invalid_argument, "socket path too long: " + address};
+  }
+  std::memcpy(un.sun_path, address.data(), address.size());
+  std::memcpy(&sa.storage, &un, sizeof(un));
+  sa.len = sizeof(un);
+  return sa;
 }
 
 enum class WriteRc { done, again, error };
@@ -129,22 +176,15 @@ class TcpFabric::EventLoop {
     if (epfd_ >= 0) ::close(epfd_);
   }
 
-  Status init() {
-    epfd_ = ::epoll_create1(0);
-    if (epfd_ < 0) return Status{Errc::io_error, "epoll_create1()"};
-    wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-    if (wake_fd_ < 0) return Status{Errc::io_error, "eventfd()"};
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_fd_;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-      return Status{Errc::io_error, "epoll_ctl(wake)"};
-    }
-    thread_ = std::thread([this] { run_(); });
-    return Status::ok();
+  /// Create the epoll set and start the thread, once, on the loop's
+  /// first socket.
+  Status ensure_started() {
+    std::call_once(started_, [this] { start_status_ = init_(); });
+    return start_status_;
   }
 
   Status set_listener(int fd) {
+    GEKKO_RETURN_IF_ERROR(ensure_started());
     listen_fd_.store(fd, std::memory_order_release);
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -157,6 +197,7 @@ class TcpFabric::EventLoop {
   }
 
   Status add_conn(const std::shared_ptr<Conn>& conn) {
+    GEKKO_RETURN_IF_ERROR(ensure_started());
     LockGuard lock(mutex_);
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -187,6 +228,11 @@ class TcpFabric::EventLoop {
   }
 
   void stop() {
+    // Also seals the loop: a start that raced with shutdown either
+    // finished before this (and is joined below) or never happens.
+    std::call_once(started_, [this] {
+      start_status_ = Status{Errc::disconnected, "fabric shut down"};
+    });
     if (!thread_.joinable()) return;
     stop_.store(true, std::memory_order_release);
     const std::uint64_t one = 1;
@@ -202,6 +248,21 @@ class TcpFabric::EventLoop {
   }
 
  private:
+  Status init_() {
+    epfd_ = ::epoll_create1(0);
+    if (epfd_ < 0) return Status{Errc::io_error, "epoll_create1()"};
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+    if (wake_fd_ < 0) return Status{Errc::io_error, "eventfd()"};
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = wake_fd_;
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+      return Status{Errc::io_error, "epoll_ctl(wake)"};
+    }
+    thread_ = std::thread([this] { run_(); });
+    return Status::ok();
+  }
+
   void run_() {
     std::array<epoll_event, 64> evs;
     while (!stop_.load(std::memory_order_acquire)) {
@@ -241,11 +302,13 @@ class TcpFabric::EventLoop {
   }
 
   TcpFabric* owner_;
+  std::once_flag started_;
+  Status start_status_;  // written once, under started_
   int epfd_ = -1;
   int wake_fd_ = -1;
   std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stop_{false};
-  Mutex mutex_{"net.tcp.loop", lockdep::rank::kTcpLoop};
+  Mutex mutex_{"net.stream.loop", lockdep::rank::kStreamLoop};
   std::map<int, std::shared_ptr<Conn>> conns_ GEKKO_GUARDED_BY(mutex_);
   std::thread thread_;
 };
@@ -254,85 +317,77 @@ class TcpFabric::EventLoop {
 // TcpFabric
 // ---------------------------------------------------------------------------
 
-TcpFabric::TcpFabric(TcpFabricOptions options) : options_(options) {
+TcpFabric::TcpFabric(const MakeFabricOptions& options, int family)
+    : options_(options), family_(family) {
   if (options_.event_loops == 0) options_.event_loops = 2;
+  for (std::size_t i = 0; i < options_.event_loops; ++i) {
+    loops_.push_back(std::make_unique<EventLoop>(this));
+  }
+  const std::string prefix = family_ == AF_UNIX ? "net.socket." : "net.tcp.";
   auto& reg = metrics::Registry::global();
-  m_.frames_out = &reg.counter("net.tcp.frames_out");
-  m_.frames_in = &reg.counter("net.tcp.frames_in");
-  m_.bytes_out = &reg.counter("net.tcp.bytes_out");
-  m_.bytes_in = &reg.counter("net.tcp.bytes_in");
-  m_.dials = &reg.counter("net.tcp.dials");
-  m_.redials = &reg.counter("net.tcp.redials");
-  m_.evictions = &reg.counter("net.tcp.evictions");
-  m_.writev_segments = &reg.counter("net.tcp.writev_segments");
-  m_.flushes = &reg.counter("net.tcp.flushes");
-  m_.coalesced_frames = &reg.counter("net.tcp.coalesced_frames");
+  m_.frames_out = &reg.counter(prefix + "frames_out");
+  m_.frames_in = &reg.counter(prefix + "frames_in");
+  m_.bytes_out = &reg.counter(prefix + "bytes_out");
+  m_.bytes_in = &reg.counter(prefix + "bytes_in");
+  m_.dials = &reg.counter(prefix + "dials");
+  m_.redials = &reg.counter(prefix + "redials");
+  m_.evictions = &reg.counter(prefix + "evictions");
+  m_.writev_segments = &reg.counter(prefix + "writev_segments");
+  m_.flushes = &reg.counter(prefix + "flushes");
+  m_.coalesced_frames = &reg.counter(prefix + "coalesced_frames");
 }
 
 Result<std::unique_ptr<TcpFabric>> TcpFabric::create(
-    const std::filesystem::path& hostfile, TcpFabricOptions options) {
+    const std::filesystem::path& hostfile, const MakeFabricOptions& options) {
   auto content = io::read_file(hostfile);
   if (!content) return content.status();
-
-  std::unique_ptr<TcpFabric> fabric(new TcpFabric(options));
   auto hosts = parse_hostfile(*content);
   if (!hosts) return hosts.status();
-  fabric->hosts_ = std::move(*hosts);
+
+  // One family per hostfile: daemons and clients sharing it must land
+  // on the same transport, and the counters are named after it.
+  const bool tcp = looks_like_tcp_address(hosts->begin()->second);
+  for (const auto& [id, address] : *hosts) {
+    if (looks_like_tcp_address(address) != tcp) {
+      return Status{Errc::invalid_argument,
+                    "hostfile mixes socket paths and host:port addresses: " +
+                        address};
+    }
+  }
+  // An explicit transport that contradicts the hostfile is a
+  // misconfiguration; fail it here rather than at connect time with a
+  // confusing resolve/ENOENT error.
+  if (options.transport == Transport::tcp && !tcp) {
+    return Status{Errc::invalid_argument,
+                  "hostfile address is not host:port: " +
+                      hosts->begin()->second};
+  }
+  if (options.transport == Transport::uds && tcp) {
+    return Status{Errc::invalid_argument,
+                  "hostfile address is not a socket path: " +
+                      hosts->begin()->second};
+  }
   if (options.self_id != kInvalidEndpoint &&
-      !fabric->hosts_.contains(options.self_id)) {
+      !hosts->contains(options.self_id)) {
     return Status{Errc::invalid_argument, "self_id not in hostfile"};
   }
-  GEKKO_RETURN_IF_ERROR(fabric->start_loops_());
+
+  std::unique_ptr<TcpFabric> fabric(
+      new TcpFabric(options, tcp ? AF_INET : AF_UNIX));
+  fabric->hosts_ = std::move(*hosts);
   return fabric;
-}
-
-Result<std::filesystem::path> TcpFabric::write_hostfile(
-    const std::filesystem::path& dir, std::uint32_t n) {
-  GEKKO_RETURN_IF_ERROR(io::ensure_dir(dir));
-  // Probe n free ports by binding port 0; every probe socket stays
-  // open until ALL ports are picked so the kernel cannot hand the same
-  // port out twice.
-  std::vector<int> probes;
-  std::string content;
-  Status st = Status::ok();
-  for (std::uint32_t i = 0; i < n && st.is_ok(); ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      st = Status{Errc::io_error, "socket()"};
-      break;
-    }
-    probes.push_back(fd);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = 0;
-    socklen_t len = sizeof(sa);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0) {
-      st = Status{Errc::io_error,
-                  std::string("port probe: ") + std::strerror(errno)};
-      break;
-    }
-    content += std::to_string(i) + " 127.0.0.1:" +
-               std::to_string(ntohs(sa.sin_port)) + "\n";
-  }
-  for (const int fd : probes) ::close(fd);
-  GEKKO_RETURN_IF_ERROR(st);
-
-  const auto path = dir / "tcp_hosts.txt";
-  GEKKO_RETURN_IF_ERROR(io::write_file_atomic(path, content));
-  return path;
 }
 
 TcpFabric::~TcpFabric() { shutdown_(); }
 
-Status TcpFabric::start_loops_() {
-  for (std::size_t i = 0; i < options_.event_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>(this);
-    GEKKO_RETURN_IF_ERROR(loop->init());
-    loops_.push_back(std::move(loop));
+void TcpFabric::tune_socket_(int fd) const {
+  if (family_ == AF_UNIX) {
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kUnixSendBuffer,
+                       sizeof(kUnixSendBuffer));
+    return;
   }
-  return Status::ok();
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 TcpFabric::EventLoop* TcpFabric::pick_loop_() {
@@ -343,16 +398,18 @@ TcpFabric::EventLoop* TcpFabric::pick_loop_() {
 
 std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
   if (inbox_ != nullptr) {
-    GEKKO_ERROR("net.tcp") << "second endpoint on a tcp fabric";
+    GEKKO_ERROR("net.stream") << "second endpoint on a stream fabric";
     return {kInvalidEndpoint, nullptr};
   }
   inbox_ = std::make_shared<Inbox>();
   if (options_.self_id != kInvalidEndpoint) {
     self_ = options_.self_id;
     if (Status st = start_listener_(); !st.is_ok()) {
-      GEKKO_ERROR("net.tcp") << "listener failed: " << st.to_string();
-      // Same rollback as SocketFabric: a retry must see the real error
-      // again, not the "second endpoint" guard.
+      GEKKO_ERROR("net.stream") << "listener failed: " << st.to_string();
+      // Roll the registration back entirely: a retry after the caller
+      // fixes the cause (missing socket dir, port in use) must see the
+      // real error again, not the "second endpoint" guard tripping on
+      // the inbox this failed attempt left behind.
       inbox_.reset();
       self_ = kInvalidEndpoint;
       return {kInvalidEndpoint, nullptr};
@@ -364,25 +421,33 @@ std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
 }
 
 Status TcpFabric::start_listener_() {
-  auto sa = resolve_ipv4(hosts_.at(self_));
+  const std::string& address = hosts_.at(self_);
+  auto sa = resolve_address(address);
   if (!sa) return sa.status();
+  // A socket file left by an earlier run would make bind fail.
+  if (family_ == AF_UNIX) (void)::unlink(address.c_str());
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  listen_fd_ =
+      ::socket(family_, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return Status{Errc::io_error, "socket()"};
+  // Failure must not leak the fd nor leave listen_fd_ pointing at a
+  // half-configured socket a later shutdown_() would close again.
   const auto fail = [this](Status st) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return st;
   };
 
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&*sa), sizeof(*sa)) !=
-      0) {
-    return fail(Status{Errc::io_error, "bind " + hosts_.at(self_) + ": " +
-                                           std::strerror(errno)});
+  if (family_ == AF_INET) {
+    const int one = 1;
+    (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                       sizeof(one));
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::bind(listen_fd_, sa->get(), sa->len) != 0) {
+    return fail(Status{Errc::io_error,
+                       "bind " + address + ": " + std::strerror(errno)});
+  }
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return fail(Status{Errc::io_error, "listen()"});
   }
   // The listener lives in loop 0; there is no acceptor thread at all —
@@ -401,12 +466,12 @@ void TcpFabric::accept_ready_() {
       if (errno == EINTR) continue;
       return;  // EAGAIN (drained the backlog) or listener closed
     }
-    set_nodelay(fd);
+    tune_socket_(fd);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     conn->loop = pick_loop_();
-    // Publish and register atomically w.r.t. kill/shutdown (kTcpLoop
-    // ranks under kTcpConn for exactly this nesting).
+    // Publish and register atomically w.r.t. kill/shutdown (kStreamLoop
+    // ranks under kStreamConn for exactly this nesting).
     LockGuard lock(conn_mutex_);
     if (stopping_now_()) {
       ::shutdown(fd, SHUT_RDWR);
@@ -424,17 +489,34 @@ void TcpFabric::accept_ready_() {
 
 void TcpFabric::on_readable_(const std::shared_ptr<Conn>& conn) {
   // rd / rd_pos are loop-thread-private (one loop owns each fd).
+  auto& rd = conn->rd;
   bool eof = false;
   bool fatal = false;
-  std::uint8_t buf[64 * 1024];
   // Read until EAGAIN; level-triggered epoll re-arms if the peer keeps
   // sending, so a hard iteration cap only bounds single-conn latency.
   for (int round = 0; round < 16; ++round) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
+    // One recv takes the rest of a frame whose length prefix has
+    // arrived (a 1 MiB bulk frame in one call, not sixteen). The cap
+    // keeps an announced length from growing the buffer more than
+    // kMaxReadChunk past the bytes that actually arrived.
+    std::size_t want = kReadChunk;
+    if (rd.size() - conn->rd_pos >= wire::kLenPrefixBytes) {
+      std::uint32_t frame_len = 0;
+      std::memcpy(&frame_len, rd.data() + conn->rd_pos, sizeof(frame_len));
+      const std::size_t have = rd.size() - conn->rd_pos;
+      const std::size_t total = wire::kLenPrefixBytes + frame_len;
+      if (total > have) {
+        want = std::clamp(total - have, kReadChunk, kMaxReadChunk);
+      }
+    }
+    const std::size_t old_size = rd.size();
+    rd.resize(old_size + want);
+    const ssize_t n = ::recv(conn->fd, rd.data() + old_size, want,
+                             MSG_DONTWAIT);
+    rd.resize(old_size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
     if (n > 0) {
-      conn->rd.insert(conn->rd.end(), buf, buf + n);
       m_.bytes_in->inc(static_cast<std::uint64_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+      if (static_cast<std::size_t>(n) < want) break;
       continue;
     }
     if (n == 0) {
@@ -493,9 +575,15 @@ bool TcpFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
   if (decoded.bulk_mode == wire::kBulkWritableSize) writable_bulk = msg.bulk;
 
   if (decoded.bulk_mode == wire::kBulkResponseData) {
-    // Same contract as SocketFabric::deliver_frame_: apply under
-    // bulk_mutex_ (cancel() synchronizes on it), kill the connection
-    // on any out-of-range range, tolerate a missing entry (cancelled).
+    // Response carrying dirty ranges for one of OUR pending writable
+    // regions: apply them before delivery. Fan-out reads have several
+    // responses filling disjoint parts of one region, so only written
+    // ranges travel. Applied under bulk_mutex_, which cancel() also
+    // takes: once a cancel returns, no byte lands in the caller's
+    // buffer. A range outside its region is a corrupt or hostile peer:
+    // kill the connection rather than skip the range (the caller would
+    // read stale bytes and never learn). No entry means cancelled or
+    // timed out: the ranges are dropped.
     LockGuard lock(bulk_mutex_);
     auto it = pending_writable_.find(msg.seq);
     if (it != pending_writable_.end()) {
@@ -525,7 +613,6 @@ Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
   if (conn.dead.load(std::memory_order_acquire)) {
     return Status{Errc::disconnected, "connection dead"};
   }
-  bool queued_behind = false;
   {
     LockGuard lock(conn.out_mutex);
     if (conn.out.empty() && !conn.epollout_armed) {
@@ -560,14 +647,12 @@ Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
       // this queue-append IS the write coalescing.
       frame.flatten_into(&conn.out);
       ++conn.out_frames;
-      queued_behind = true;
       if (!conn.epollout_armed) {
         conn.epollout_armed = true;
         conn.loop->arm_write(conn.fd, true);
       }
     }
   }
-  (void)queued_behind;
   m_.frames_out->inc();
   m_.bytes_out->inc(frame.wire_bytes());
   return Status::ok();
@@ -616,21 +701,21 @@ Result<std::shared_ptr<TcpFabric::Conn>> TcpFabric::connect_to_(
   if (host == hosts_.end()) {
     return Status{Errc::disconnected, "unknown endpoint id"};
   }
-  auto sa = resolve_ipv4(host->second);
+  auto sa = resolve_address(host->second);
   if (!sa) return sa.status();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd = ::socket(family_, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status{Errc::io_error, "socket()"};
   // Blocking connect (the dialer wants the result synchronously), then
   // nonblocking for the event loop.
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&*sa), sizeof(*sa)) != 0) {
+  if (::connect(fd, sa->get(), sa->len) != 0) {
     ::close(fd);
     return Status{Errc::disconnected,
                   "connect " + host->second + ": " + std::strerror(errno)};
   }
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  set_nodelay(fd);
+  tune_socket_(fd);
   m_.dials->inc();
   flight::record(flight::Subsys::fabric, flight::ev::fabric_connect, dest);
 
@@ -753,7 +838,9 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
     return st;
   }
 
-  // Request path with one transparent redial, like SocketFabric.
+  // Request path. A cached connection may have died since the last
+  // send (daemon restart): if the write fails, evict the link and
+  // redial once, transparently.
   auto frame = wire::encode_frame(msg, nullptr, self_, options_.max_frame_bytes);
   if (!frame) return frame.status();
   Status last = Status::ok();
@@ -796,6 +883,7 @@ void TcpFabric::shutdown_() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
+    if (family_ == AF_UNIX) (void)::unlink(hosts_.at(self_).c_str());
   }
   std::vector<std::shared_ptr<Conn>> conns;
   {

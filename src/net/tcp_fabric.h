@@ -1,30 +1,33 @@
-// Multi-process fabric over TCP with an epoll readiness loop.
+// The stream fabric: multi-process transport over TCP or Unix-domain
+// sockets with an epoll readiness loop. The name is historical; the
+// address family comes from the hostfile (see transport.h):
 //
-// Where SocketFabric (socket_fabric.h) runs one blocking reader thread
-// per connection — fine for a handful of local processes, fatal for
-// thousands of clients — TcpFabric multiplexes every connection onto a
+//   0 127.0.0.1:9230           AF_INET, TCP_NODELAY on every socket
+//   0 /tmp/gkfs/gkfsd.0.sock   AF_UNIX, the socket file is unlinked
+//                              before bind and again on shutdown
+//
+// An address is resolved when it is bound or dialed. Everything else
+// is the same for both families. Connections are multiplexed onto a
 // small pool of event-loop threads, the Mercury design point for
 // extreme-scale services ("RPC Approach for Extreme-scale Services",
 // PAPERS.md):
 //
 //  - nonblocking sockets registered with one epoll instance per loop
-//    thread; each connection is owned by exactly one loop,
+//    thread; each connection is owned by exactly one loop, and a loop
+//    starts its thread when it is first given a socket, so a fabric
+//    that has not listened or dialed yet runs no thread,
 //  - per-connection read buffers with partial-frame reassembly (a
 //    frame may arrive across any number of readiness events),
 //  - per-connection send queues: when the socket is idle a frame is
 //    written inline from the sender's thread (zero-copy iovec gather);
 //    when it is backed up, frames are flattened onto the queue and the
 //    event loop coalesces the whole backlog into single sendmsg
-//    calls (net.tcp.coalesced_frames counts frames that shared one
+//    calls (<family>.coalesced_frames counts frames that shared one
 //    flush with others).
 //
-// The wire format is byte-identical to SocketFabric's (shared
-// wire::frame codec, 33-byte minimum frame), so everything above the
-// transport — redial/eviction, FaultInjector, trace-id propagation —
-// behaves the same. Hostfile lines carry "host:port" addresses:
-//
-//   0 127.0.0.1:9230
-//   1 10.0.0.7:9230
+// Frames use the shared wire::frame codec (33-byte minimum frame).
+// Counters are named after the family: net.socket.* for AF_UNIX,
+// net.tcp.* for AF_INET.
 #pragma once
 
 #include <atomic>
@@ -44,26 +47,14 @@
 
 namespace gekko::net {
 
-struct TcpFabricOptions {
-  /// Daemon role: serve on the hostfile entry for `self_id`.
-  /// Client role (self_id == kInvalidEndpoint): connect-only.
-  EndpointId self_id = kInvalidEndpoint;
-  /// Upper bound for one wire frame, enforced on both sides (see
-  /// SocketFabricOptions::max_frame_bytes).
-  std::uint32_t max_frame_bytes = 1u << 30;
-  /// Event-loop threads multiplexing all connections (0 = 2). Two
-  /// suffice for a node: loops are readiness dispatchers, the actual
-  /// RPC work runs on the engine's handler pool.
-  std::size_t event_loops = 2;
-  int listen_backlog = 128;
-};
-
 class TcpFabric final : public HostedFabric {
  public:
-  /// Parse a hostfile of "<id> <host>:<port>" lines and construct a
-  /// fabric for one process. Event loops start immediately.
+  /// Parse a hostfile and construct a fabric for one process. No
+  /// thread starts until the fabric listens or dials. A hostfile that
+  /// mixes socket paths with host:port addresses, or contradicts an
+  /// explicit options.transport, fails with invalid_argument.
   static Result<std::unique_ptr<TcpFabric>> create(
-      const std::filesystem::path& hostfile, TcpFabricOptions options);
+      const std::filesystem::path& hostfile, const MakeFabricOptions& options);
 
   ~TcpFabric() override;
   TcpFabric(const TcpFabric&) = delete;
@@ -86,16 +77,36 @@ class TcpFabric final : public HostedFabric {
     return out;
   }
 
-  /// Write a hostfile for `n` daemons on 127.0.0.1, picking currently
-  /// free ports (each probed by binding port 0). Ports are released
-  /// before this returns, so a well-timed other process could steal
-  /// one — fine for tests and single-node benches, real deployments
-  /// write their own hostfile with administered ports.
+  /// net::write_hostfile(dir, n, Transport::tcp); kept because
+  /// perfbench/layers.cpp calls it by this name.
   static Result<std::filesystem::path> write_hostfile(
-      const std::filesystem::path& dir, std::uint32_t n);
+      const std::filesystem::path& dir, std::uint32_t n) {
+    return net::write_hostfile(dir, n, Transport::tcp);
+  }
 
  private:
   class EventLoop;
+
+  /// std::allocator whose resize() leaves new elements uninitialized,
+  /// so recv can fill the read buffer without a zero-fill first.
+  template <typename T>
+  struct UninitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U>& /*other*/) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
 
   struct Conn {
     ~Conn();
@@ -110,13 +121,13 @@ class TcpFabric final : public HostedFabric {
 
     // Read-side reassembly state. Touched ONLY by the owning loop
     // thread (each fd lives in exactly one epoll set), so it needs no
-    // lock.
-    std::vector<std::uint8_t> rd;
+    // lock. recv writes straight into rd.
+    std::vector<std::uint8_t, UninitAllocator<std::uint8_t>> rd;
     std::size_t rd_pos = 0;
 
     // Send queue. Senders append (or write inline when empty); the
     // event loop drains on EPOLLOUT.
-    Mutex out_mutex{"net.tcp.out", lockdep::rank::kTcpOut};
+    Mutex out_mutex{"net.stream.out", lockdep::rank::kStreamOut};
     std::vector<std::uint8_t> out GEKKO_GUARDED_BY(out_mutex);
     std::size_t out_pos GEKKO_GUARDED_BY(out_mutex) = 0;
     /// Frames currently queued (feeds the coalescing metric).
@@ -124,9 +135,8 @@ class TcpFabric final : public HostedFabric {
     bool epollout_armed GEKKO_GUARDED_BY(out_mutex) = false;
   };
 
-  explicit TcpFabric(TcpFabricOptions options);
+  TcpFabric(const MakeFabricOptions& options, int family);
 
-  Status start_loops_();
   Status start_listener_();
   /// Loop-thread callbacks.
   void accept_ready_();
@@ -142,6 +152,9 @@ class TcpFabric final : public HostedFabric {
   /// Queue or inline-write one encoded frame.
   Status send_frame_(Conn& conn, const wire::EncodedFrame& frame);
   EventLoop* pick_loop_();
+  /// Per-socket options for this fabric's family: TCP_NODELAY on
+  /// AF_INET, a send buffer that holds a whole bulk frame on AF_UNIX.
+  void tune_socket_(int fd) const;
 
   /// Sever + deregister + fail everything tied to this connection.
   /// Safe from any thread, including loop threads.
@@ -154,8 +167,9 @@ class TcpFabric final : public HostedFabric {
     return stopping_.load(std::memory_order_acquire);
   }
 
-  TcpFabricOptions options_;
-  std::map<EndpointId, std::string> hosts_;  // daemon id -> host:port
+  MakeFabricOptions options_;
+  int family_;  // AF_UNIX or AF_INET, shared by every hostfile address
+  std::map<EndpointId, std::string> hosts_;
   EndpointId self_ = kInvalidEndpoint;
   std::shared_ptr<Inbox> inbox_;
 
@@ -164,37 +178,42 @@ class TcpFabric final : public HostedFabric {
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<std::size_t> next_loop_{0};
 
-  Mutex conn_mutex_{"net.tcp.conn", lockdep::rank::kTcpConn};
+  Mutex conn_mutex_{"net.stream.conn", lockdep::rank::kStreamConn};
   std::map<EndpointId, std::shared_ptr<Conn>> outgoing_
       GEKKO_GUARDED_BY(conn_mutex_);
   std::vector<std::shared_ptr<Conn>> incoming_ GEKKO_GUARDED_BY(conn_mutex_);
 
-  // Serving side: response routes (see socket_fabric.h — identical
-  // contract, keyed by (requester id, seq)).
+  // Serving side: the response for a request goes back over the
+  // connection it arrived on, carrying the (possibly written) owned
+  // bulk buffer. Keyed by (requester id, seq): seq alone collides
+  // across client processes, which each count sequences from 1.
   struct PendingReply {
     std::shared_ptr<Conn> conn;
-    BulkRegion writable_bulk;
+    BulkRegion writable_bulk;  // owned region, if the request had one
   };
   using ReplyKey = std::pair<EndpointId, std::uint64_t>;
-  Mutex reply_mutex_{"net.tcp.reply", lockdep::rank::kTcpReply};
+  Mutex reply_mutex_{"net.stream.reply", lockdep::rank::kStreamReply};
   std::map<ReplyKey, PendingReply> pending_replies_
       GEKKO_GUARDED_BY(reply_mutex_);
 
-  // Requesting side: writable regions awaiting response bulk.
+  // Requesting side: writable regions awaiting response bulk, tied to
+  // the connection the request left on so a dead link fails them
+  // instead of leaking them.
   struct PendingWritable {
     BulkRegion region;
     std::shared_ptr<Conn> conn;
   };
-  Mutex bulk_mutex_{"net.tcp.bulk", lockdep::rank::kTcpBulk};
+  Mutex bulk_mutex_{"net.stream.bulk", lockdep::rank::kStreamBulk};
   std::map<std::uint64_t, PendingWritable> pending_writable_
       GEKKO_GUARDED_BY(bulk_mutex_);
 
-  mutable Mutex stats_mutex_{"net.tcp.stats", lockdep::rank::kTcpStats};
+  mutable Mutex stats_mutex_{"net.stream.stats",
+                             lockdep::rank::kStreamStats};
   TrafficStats stats_ GEKKO_GUARDED_BY(stats_mutex_){};
 
-  // net.tcp.* families mirror net.socket.* (global registry, cached at
+  // net.socket.* or net.tcp.*, by family (global registry, cached at
   // construction; incremented lock-free on the data path).
-  struct TcpMetrics {
+  struct StreamMetrics {
     metrics::Counter* frames_out;
     metrics::Counter* frames_in;
     metrics::Counter* bytes_out;
@@ -202,14 +221,16 @@ class TcpFabric final : public HostedFabric {
     metrics::Counter* dials;
     metrics::Counter* redials;
     metrics::Counter* evictions;
-    /// Bulk payload segments gathered zero-copy by inline sendmsg.
+    /// Bulk payload segments of frames sent whole by the inline
+    /// sendmsg, gathered straight from the caller's region. A frame
+    /// whose tail had to be copied onto the send queue is not counted.
     metrics::Counter* writev_segments;
     /// Event-loop queue flushes, and frames that went out sharing a
     /// flush with at least one other frame (write coalescing).
     metrics::Counter* flushes;
     metrics::Counter* coalesced_frames;
   };
-  TcpMetrics m_;
+  StreamMetrics m_;
 };
 
 }  // namespace gekko::net

@@ -1,10 +1,16 @@
 #include "net/transport.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <charconv>
+#include <cstring>
 
 #include "common/fileio.h"
 #include "net/address.h"
-#include "net/socket_fabric.h"
 #include "net/tcp_fabric.h"
 
 namespace gekko::net {
@@ -80,56 +86,76 @@ Result<std::map<EndpointId, std::string>> parse_hostfile(
 
 Result<std::unique_ptr<HostedFabric>> make_fabric(
     const std::filesystem::path& hostfile, const MakeFabricOptions& options) {
-  auto content = io::read_file(hostfile);
-  if (!content) return content.status();
-  auto hosts = parse_hostfile(*content);
-  if (!hosts) return hosts.status();
-
-  Transport transport = options.transport;
-  if (transport == Transport::autodetect) {
-    // TCP only when EVERY address reads as host:port; a mixed hostfile
-    // lands on UDS and fails loudly at the first socket-path connect.
-    transport = Transport::tcp;
-    for (const auto& [id, address] : *hosts) {
-      if (!looks_like_tcp_address(address)) {
-        transport = Transport::uds;
-        break;
-      }
-    }
-  } else {
-    // An explicit transport that contradicts the hostfile is a
-    // misconfiguration; fail it here with the offending address rather
-    // than at connect time with a confusing resolve/ENOENT error.
-    for (const auto& [id, address] : *hosts) {
-      const bool is_tcp = looks_like_tcp_address(address);
-      if (transport == Transport::tcp && !is_tcp) {
-        return Status{Errc::invalid_argument,
-                      "hostfile address is not host:port: " + address};
-      }
-      if (transport == Transport::uds && is_tcp) {
-        return Status{Errc::invalid_argument,
-                      "hostfile address is not a socket path: " + address};
-      }
-    }
-  }
-
-  if (transport == Transport::tcp) {
-    TcpFabricOptions topt;
-    topt.self_id = options.self_id;
-    topt.max_frame_bytes = options.max_frame_bytes;
-    if (options.tcp_event_loops != 0) {
-      topt.event_loops = options.tcp_event_loops;
-    }
-    auto fabric = TcpFabric::create(hostfile, topt);
-    if (!fabric) return fabric.status();
-    return std::unique_ptr<HostedFabric>(std::move(*fabric));
-  }
-  SocketFabricOptions sopt;
-  sopt.self_id = options.self_id;
-  sopt.max_frame_bytes = options.max_frame_bytes;
-  auto fabric = SocketFabric::create(hostfile, sopt);
+  auto fabric = TcpFabric::create(hostfile, options);
   if (!fabric) return fabric.status();
   return std::unique_ptr<HostedFabric>(std::move(*fabric));
+}
+
+namespace {
+
+/// "<i> 127.0.0.1:<port>" lines for `n` currently free ports. Every
+/// probe socket stays open until ALL ports are picked so the kernel
+/// cannot hand the same port out twice.
+Result<std::string> free_tcp_hosts(std::uint32_t n) {
+  std::vector<int> probes;
+  std::string content;
+  Status st = Status::ok();
+  for (std::uint32_t i = 0; i < n && st.is_ok(); ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+      st = Status{Errc::io_error, "socket()"};
+      break;
+    }
+    probes.push_back(fd);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = 0;
+    socklen_t len = sizeof(sa);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0) {
+      st = Status{Errc::io_error,
+                  std::string("port probe: ") + std::strerror(errno)};
+      break;
+    }
+    content += std::to_string(i) + " 127.0.0.1:" +
+               std::to_string(ntohs(sa.sin_port)) + "\n";
+  }
+  for (const int fd : probes) ::close(fd);
+  if (!st.is_ok()) return st;
+  return content;
+}
+
+}  // namespace
+
+Result<std::filesystem::path> write_hostfile(const std::filesystem::path& dir,
+                                             std::uint32_t n,
+                                             Transport transport) {
+  GEKKO_RETURN_IF_ERROR(io::ensure_dir(dir));
+  std::string content;
+  std::filesystem::path path;
+  switch (transport) {
+    case Transport::uds:
+      for (std::uint32_t i = 0; i < n; ++i) {
+        content += std::to_string(i) + " " +
+                   (dir / ("gkfsd." + std::to_string(i) + ".sock")).string() +
+                   "\n";
+      }
+      path = dir / "hosts.txt";
+      break;
+    case Transport::tcp: {
+      auto hosts = free_tcp_hosts(n);
+      if (!hosts) return hosts.status();
+      content = std::move(*hosts);
+      path = dir / "tcp_hosts.txt";
+      break;
+    }
+    case Transport::autodetect:
+      return Status{Errc::invalid_argument,
+                    "write_hostfile needs an explicit transport"};
+  }
+  GEKKO_RETURN_IF_ERROR(io::write_file_atomic(path, content));
+  return path;
 }
 
 }  // namespace gekko::net

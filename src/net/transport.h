@@ -6,9 +6,10 @@
 // of one hostfile must use the same address family — daemons and
 // clients sharing a hostfile must land on the same transport.
 //
-// make_fabric() sniffs the hostfile (or honors an explicit Transport)
-// and constructs the matching fabric. Everything above the transport —
-// the rpc::Engine, redial/eviction/FaultInjector machinery, trace-id
+// make_fabric() constructs the one stream fabric (TcpFabric, an epoll
+// engine) over the hostfile's address family; an explicit Transport
+// only checks that the hostfile agrees. Everything above the transport
+// — the rpc::Engine, redial/eviction/FaultInjector machinery, trace-id
 // propagation — is keyed off net::Fabric and works unchanged on both.
 #pragma once
 
@@ -26,8 +27,8 @@
 namespace gekko::net {
 
 /// A Fabric whose peers come from a hostfile: daemon ids are dense
-/// [0, n) and enumerable without a directory service. SocketFabric
-/// (UDS) and TcpFabric both implement this.
+/// [0, n) and enumerable without a directory service. TcpFabric
+/// implements this for both address families.
 class HostedFabric : public Fabric {
  public:
   /// Endpoint ids of all daemons listed in the hostfile, ascending.
@@ -36,8 +37,8 @@ class HostedFabric : public Fabric {
 
 enum class Transport {
   autodetect,  // sniff from the hostfile's address syntax
-  uds,         // Unix-domain sockets (SocketFabric)
-  tcp,         // TCP with an epoll event loop (TcpFabric)
+  uds,         // Unix-domain sockets (AF_UNIX)
+  tcp,         // TCP (AF_INET)
 };
 
 /// "auto" | "uds" | "tcp" (what gkfsd's --transport flag accepts).
@@ -58,19 +59,35 @@ struct MakeFabricOptions {
   /// Daemon role: serve on the hostfile entry for `self_id`.
   /// Client role (kInvalidEndpoint): connect-only.
   EndpointId self_id = kInvalidEndpoint;
-  /// See SocketFabricOptions::max_frame_bytes.
+  /// Upper bound for one wire frame, enforced on BOTH sides: the
+  /// sender fails oversized frames with Errc::overflow before any
+  /// bytes hit the wire (instead of silently killing the peer's
+  /// connection), and the receiver drops connections that announce a
+  /// larger frame. All processes sharing a hostfile must agree.
   std::uint32_t max_frame_bytes = 1u << 30;
   Transport transport = Transport::autodetect;
-  /// TCP only: epoll event-loop threads (0 = default).
-  std::size_t tcp_event_loops = 0;
+  /// Epoll event-loop threads multiplexing all connections (0 = 2).
+  /// Two suffice for a node: loops are readiness dispatchers, the
+  /// actual RPC work runs on the engine's handler pool.
+  std::size_t event_loops = 0;
 };
 
-/// Read + parse the hostfile and construct the matching fabric.
-/// Transport::autodetect picks TCP when every address looks like
-/// "host:port", UDS otherwise; an explicit transport that contradicts
-/// the hostfile's addresses fails here with invalid_argument naming
-/// the offending address.
+/// Read + parse the hostfile and construct the stream fabric over its
+/// address family (TcpFabric::create). An explicit transport that
+/// contradicts the hostfile's addresses fails with invalid_argument
+/// naming the offending address.
 Result<std::unique_ptr<HostedFabric>> make_fabric(
     const std::filesystem::path& hostfile, const MakeFabricOptions& options);
+
+/// Write a hostfile for `n` daemons under `dir` and return its path.
+/// Transport::uds lists socket paths `dir/gkfsd.<i>.sock`
+/// (`dir/hosts.txt`); Transport::tcp lists 127.0.0.1 ports that are
+/// free right now, each probed by binding port 0 (`dir/tcp_hosts.txt`).
+/// The probed ports are released before this returns, so a well-timed
+/// other process could steal one: fine for tests and single-node
+/// benches, real deployments write their own hostfile.
+Result<std::filesystem::path> write_hostfile(const std::filesystem::path& dir,
+                                             std::uint32_t n,
+                                             Transport transport);
 
 }  // namespace gekko::net

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "common/metrics.h"
-#include "net/socket_fabric.h"
+#include "net/transport.h"
 #include "rpc/engine.h"
 
 namespace gekko {
@@ -32,12 +32,11 @@ class FaultInjectionTest : public ::testing::Test {
            ("gekko_fault_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-    auto hostfile = net::SocketFabric::write_hostfile(dir_, 1);
+    auto hostfile = net::write_hostfile(dir_, 1, net::Transport::uds);
     ASSERT_TRUE(hostfile.is_ok());
     hostfile_ = *hostfile;
 
-    auto sf = net::SocketFabric::create(
-        hostfile_, net::SocketFabricOptions{.self_id = 0});
+    auto sf = net::make_fabric(hostfile_, {.self_id = 0});
     ASSERT_TRUE(sf.is_ok()) << sf.status().to_string();
     server_fabric_ = std::move(*sf);
     server_ = std::make_unique<rpc::Engine>(
@@ -62,8 +61,8 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   void make_client(rpc::EngineOptions opts,
-                   net::SocketFabricOptions fopts = {}) {
-    auto cf = net::SocketFabric::create(hostfile_, fopts);
+                   net::MakeFabricOptions fopts = {}) {
+    auto cf = net::make_fabric(hostfile_, fopts);
     ASSERT_TRUE(cf.is_ok()) << cf.status().to_string();
     client_fabric_ = std::move(*cf);
     opts.name = "flt-client";
@@ -76,9 +75,9 @@ class FaultInjectionTest : public ::testing::Test {
   // A member (not a test local) so it outlives the engines TearDown
   // destroys — they hold cached references into it.
   metrics::Registry registry_;
-  std::unique_ptr<net::SocketFabric> server_fabric_;
+  std::unique_ptr<net::HostedFabric> server_fabric_;
   std::unique_ptr<rpc::Engine> server_;
-  std::unique_ptr<net::SocketFabric> client_fabric_;
+  std::unique_ptr<net::HostedFabric> client_fabric_;
   std::unique_ptr<rpc::Engine> client_;
 };
 
@@ -320,7 +319,7 @@ TEST_F(FaultInjectionTest, DuplicateDeliveryIsHarmless) {
 TEST_F(FaultInjectionTest, OversizedFrameFailsWithOverflowOnSendSide) {
   // The sender must reject an oversized frame with overflow instead of
   // tripping the receiver's limit and silently killing the connection.
-  net::SocketFabricOptions fopts;
+  net::MakeFabricOptions fopts;
   fopts.max_frame_bytes = 4096;
   make_client(rpc::EngineOptions{.rpc_timeout = 500ms}, fopts);
 

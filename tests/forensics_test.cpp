@@ -30,7 +30,7 @@
 #include "common/thread_annotations.h"
 #include "common/trace.h"
 #include "fs/mount.h"
-#include "net/socket_fabric.h"
+#include "net/transport.h"
 #include "proto/messages.h"
 #include "workload/fs_adapter.h"
 #include "workload/ior.h"
@@ -433,7 +433,7 @@ class ForensicsE2ETest : public ::testing::Test {
 
 TEST_F(ForensicsE2ETest, DaemonCrashDecodesEndToEnd) {
   constexpr std::uint32_t kDaemons = 2;
-  auto hostfile = net::SocketFabric::write_hostfile(dir_, kDaemons);
+  auto hostfile = net::write_hostfile(dir_, kDaemons, net::Transport::uds);
   ASSERT_TRUE(hostfile.is_ok());
 
   std::vector<pid_t> children;
@@ -452,7 +452,7 @@ TEST_F(ForensicsE2ETest, DaemonCrashDecodesEndToEnd) {
 
   // Traced workload so daemon flight events carry client trace ids.
   trace::set_enabled(true);
-  auto client_fabric = net::SocketFabric::create(*hostfile, {});
+  auto client_fabric = net::make_fabric(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   client::ClientOptions copts;
   copts.chunk_size = 8192;

@@ -1,16 +1,12 @@
 // Batched metadata RPCs end to end: wire round-trips and
 // malformed-frame rejection for the batch messages, the decode
 // preallocation clamps, batch_create/stat/remove against a live
-// cluster (partial failure per entry), the client-side coalescing
-// Batcher, and dirent-shard placement spread for a hot directory.
+// cluster (partial failure per entry), and dirent-shard placement
+// spread for a hot directory.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -303,132 +299,6 @@ TEST(DirentShardTest, HotDirectorySpreadsAcrossDaemons) {
     }
   }
   EXPECT_GT(moved, 200u);
-}
-
-// ---------- the coalescing Batcher ----------
-
-class BatcherTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() /
-            ("gekko_batcher_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(root_);
-    cluster::ClusterOptions opts;
-    opts.nodes = 2;
-    opts.root = root_;
-    opts.daemon_options.kv_options.background_compaction = false;
-    auto c = cluster::Cluster::start(opts);
-    ASSERT_TRUE(c.is_ok());
-    cluster_ = std::move(*c);
-  }
-  void TearDown() override {
-    cluster_.reset();
-    std::filesystem::remove_all(root_);
-  }
-
-  std::unique_ptr<fs::Mount> batched_mount(std::size_t max_entries,
-                                           std::chrono::milliseconds delay) {
-    client::ClientOptions copts;
-    copts.batch.enabled = true;
-    copts.batch.max_entries = max_entries;
-    copts.batch.max_delay = delay;
-    return cluster_->mount(copts);
-  }
-
-  std::filesystem::path root_;
-  std::unique_ptr<cluster::Cluster> cluster_;
-};
-
-TEST_F(BatcherTest, SingleOpsCoalesceAndComplete) {
-  // Tiny deadline: every op completes via a deadline sweep even when
-  // nothing else fills the queue — the single-op API must stay
-  // synchronous and correct with batching on.
-  auto mnt = batched_mount(64, std::chrono::milliseconds(1));
-  const int kThreads = 4;
-  const int kOps = 50;
-  std::vector<std::thread> workers;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kOps; ++i) {
-        const std::string p =
-            "/co/f" + std::to_string(t) + "." + std::to_string(i);
-        auto fd = mnt->open(p, fs::create | fs::wr_only);
-        if (!fd.is_ok() || !mnt->close(*fd).is_ok()) ++failures;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  mnt->client().flush_batches();
-  // Everything visible, including through the batched stat path.
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kOps; i += 7) {
-      const std::string p =
-          "/co/f" + std::to_string(t) + "." + std::to_string(i);
-      EXPECT_TRUE(mnt->stat(p).is_ok()) << p;
-    }
-  }
-}
-
-TEST_F(BatcherTest, PerEntryErrorsDoNotPoisonBatchMates) {
-  auto mnt = batched_mount(64, std::chrono::milliseconds(1));
-  auto fd = mnt->open("/pe/dup", fs::create | fs::wr_only);
-  ASSERT_TRUE(fd.is_ok());
-  ASSERT_TRUE(mnt->close(*fd).is_ok());
-  mnt->client().flush_batches();
-
-  // Concurrent creates: one duplicate, the rest fresh. The duplicate
-  // gets exists; its batch-mates must still succeed.
-  std::vector<std::thread> workers;
-  std::atomic<int> ok{0};
-  std::atomic<int> exists{0};
-  std::atomic<int> other{0};
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      const std::string p =
-          t == 0 ? std::string("/pe/dup") : "/pe/f" + std::to_string(t);
-      auto r = mnt->open(p, fs::create | fs::excl | fs::wr_only);
-      if (r.is_ok()) {
-        (void)mnt->close(*r);
-        ++ok;
-      } else if (r.code() == Errc::exists) {
-        ++exists;
-      } else {
-        ++other;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(ok.load(), 3);
-  EXPECT_EQ(exists.load(), 1);
-  EXPECT_EQ(other.load(), 0);
-}
-
-TEST_F(BatcherTest, FullQueueFlushesWithoutWaitingForDeadline) {
-  // Long deadline + tiny max_entries: ops can only complete promptly
-  // through count-triggered flushes. 2 daemons x max_entries 2 means a
-  // burst of creates fills per-daemon queues fast.
-  auto mnt = batched_mount(2, std::chrono::milliseconds(250));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < 4; ++i) {
-        const std::string p =
-            "/full/f" + std::to_string(t) + "." + std::to_string(i);
-        auto fd = mnt->open(p, fs::create | fs::wr_only);
-        if (!fd.is_ok() || !mnt->close(*fd).is_ok()) ++failures;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  // 32 creates through full-queue flushes must not take anywhere near
-  // 32/2 deadline periods; generous bound for slow CI.
-  EXPECT_LT(std::chrono::steady_clock::now() - t0,
-            std::chrono::seconds(3));
 }
 
 }  // namespace

@@ -23,7 +23,7 @@
 #include "common/metrics.h"
 #include "fs/mount.h"
 #include "net/fabric.h"
-#include "net/socket_fabric.h"
+#include "net/transport.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 #include "workload/fs_adapter.h"
@@ -437,7 +437,7 @@ TEST_F(GkfsTopTest, RendersPerNodeTableForRealDaemonProcesses) {
   // then run the real gkfs-top binary single-shot and check it renders
   // one populated row per node.
   constexpr std::uint32_t kDaemons = 2;
-  auto hostfile = net::SocketFabric::write_hostfile(dir_, kDaemons);
+  auto hostfile = net::write_hostfile(dir_, kDaemons, net::Transport::uds);
   ASSERT_TRUE(hostfile.is_ok());
 
   std::vector<pid_t> children;
@@ -469,7 +469,7 @@ TEST_F(GkfsTopTest, RendersPerNodeTableForRealDaemonProcesses) {
   }
 
   {
-    auto client_fabric = net::SocketFabric::create(*hostfile, {});
+    auto client_fabric = net::make_fabric(*hostfile, {});
     ASSERT_TRUE(client_fabric.is_ok());
     client::ClientOptions copts;
     copts.chunk_size = 8192;
@@ -513,7 +513,7 @@ TEST_F(GkfsTopTest, RendersPerNodeTableForRealDaemonProcesses) {
   // gkfs-top consumes; growing it must not have broken the table above,
   // and the new families must survive the JSON round trip per node.
   {
-    auto probe_fabric = net::SocketFabric::create(*hostfile, {});
+    auto probe_fabric = net::make_fabric(*hostfile, {});
     ASSERT_TRUE(probe_fabric.is_ok());
     rpc::Engine probe(**probe_fabric, {.name = "probe"});
     for (std::uint32_t id = 0; id < kDaemons; ++id) {

@@ -1,8 +1,9 @@
-// Shutdown-during-accept stress for the hosted fabrics.
+// Shutdown-during-accept stress for the stream fabric, over both
+// address families.
 //
 // Tears a listening fabric down while raw peers are mid-connect and
-// mid-handshake, repeatedly. The races this shakes out: the acceptor
-// (or epoll loop) adopting a connection while shutdown_ snapshots the
+// mid-handshake, repeatedly. The races this shakes out: the epoll
+// loop adopting a connection while shutdown_ snapshots the
 // connection set; a half-read length prefix on a connection the
 // teardown path closes; a dialer racing the listener's close. Run
 // under TSan/ASan via the `sanitize` ctest label — the assertions here
@@ -24,8 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_fabric.h"
-#include "net/tcp_fabric.h"
 #include "net/transport.h"
 
 namespace gekko {
@@ -76,9 +75,7 @@ void run_shutdown_stress(net::Transport transport) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  auto hostfile = transport == net::Transport::tcp
-                      ? net::TcpFabric::write_hostfile(dir, 1)
-                      : net::SocketFabric::write_hostfile(dir, 1);
+  auto hostfile = net::write_hostfile(dir, 1, transport);
   ASSERT_TRUE(hostfile.is_ok()) << hostfile.status().to_string();
   const std::string addr = hostfile_address(*hostfile);
   ASSERT_FALSE(addr.empty());

@@ -28,7 +28,7 @@
 #include "daemon/daemon.h"
 #include "fs/mount.h"
 #include "net/fabric.h"
-#include "net/socket_fabric.h"
+#include "net/transport.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 #include "storage/ssd_model.h"
@@ -480,7 +480,7 @@ class TracingE2ETest : public ::testing::Test {
 
 TEST_F(TracingE2ETest, AssemblesCrossNodeTreesFromTwoRealDaemons) {
   constexpr std::uint32_t kDaemons = 2;
-  auto hostfile = net::SocketFabric::write_hostfile(dir_, kDaemons);
+  auto hostfile = net::write_hostfile(dir_, kDaemons, net::Transport::uds);
   ASSERT_TRUE(hostfile.is_ok());
 
   std::vector<pid_t> children;
@@ -513,7 +513,7 @@ TEST_F(TracingE2ETest, AssemblesCrossNodeTreesFromTwoRealDaemons) {
   trace::set_enabled(true);
   const std::uint64_t test_start_ns = metrics::now_ns();
 
-  auto client_fabric = net::SocketFabric::create(*hostfile, {});
+  auto client_fabric = net::make_fabric(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   client::ClientOptions copts;
   copts.chunk_size = 8192;

@@ -22,7 +22,7 @@ relaxed          std::memory_order_relaxed is only allowed in files
                  explaining why relaxed ordering is sufficient.
 
 blocking-in-net  sleep_for / sleep( / usleep( / nanosleep( in
-                 src/net/ or src/rpc/ (fabric reader/acceptor threads,
+                 src/net/ or src/rpc/ (fabric event-loop threads,
                  engine progress/handler paths) must be tagged
                  `// blocking-ok: <why>` on the same line — a sleep on
                  a progress thread stalls every in-flight RPC.

@@ -3,8 +3,8 @@
 // This is the deployment unit of the paper: one daemon per node,
 // started by the user at job begin (in parallel across nodes), torn
 // down at job end. Daemons find each other — and clients find them —
-// through a shared hostfile (here: Unix-domain socket paths; on a real
-// cluster: Mercury addresses).
+// through a shared hostfile of Unix-domain socket paths or host:port
+// TCP addresses (on a real cluster: Mercury addresses).
 //
 //   gkfsd <hostfile> <self-id> <data-root> [chunk-size-bytes]
 //         [--io-threads <n>] [--transport auto|uds|tcp]
@@ -13,9 +13,10 @@
 // --io-threads sizes the daemon's chunk-I/O pool (0 = serial in-handler
 // I/O); the default matches DaemonOptions::io_threads.
 //
-// --transport picks the fabric: "uds" for Unix-domain sockets, "tcp"
-// for TCP with the epoll event loop, "auto" (the default) sniffs the
-// hostfile — "host:port" addresses mean TCP, socket paths mean UDS.
+// The hostfile picks the address family: "host:port" addresses mean
+// TCP, socket paths mean Unix-domain sockets; both run on the one
+// stream fabric. --transport uds|tcp only checks that the hostfile
+// agrees; "auto" (the default) accepts either.
 //
 // --metrics-port enables the Prometheus /metrics HTTP endpoint on that
 // TCP port (0 = pick an ephemeral port). The bound port is printed to
