@@ -104,7 +104,7 @@ Client::Client(net::Fabric& fabric, std::vector<net::EndpointId> daemons,
   if (rpc_opts.registry == nullptr) rpc_opts.registry = registry_;
   if (!rpc_opts.rpc_name) rpc_opts.rpc_name = proto::rpc_name;
   // The client engine only *sends*; one handler thread suffices for the
-  // (none) incoming requests, and the progress thread completes
+  // (none) incoming requests, and the fabric's delivery thread completes
   // responses.
   rpc_opts.handler_threads = 1;
   // Failure semantics at the forwarding layer: idempotent reads retry

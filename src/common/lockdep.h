@@ -47,19 +47,20 @@ inline constexpr int kSizeCache = 135;      // client size-update cache
 inline constexpr int kClientStats = 140;    // client op counters
 // -- rpc engine --
 inline constexpr int kEngineRpcTable = 200; // handler registration table
+inline constexpr int kEnginePark = 205;     // requests parked before start()
 inline constexpr int kEngineMetrics = 210;  // caller-metrics slot fill
 inline constexpr int kEnginePending = 220;  // in-flight forward map
 inline constexpr int kHeartbeat = 250;      // heartbeat monitor lifecycle
                                             // (probes run with it DROPPED)
 // -- fabric / transport --
 inline constexpr int kFabricInjector = 300; // fault-injector slot
-inline constexpr int kLoopback = 310;       // loopback inbox table
+inline constexpr int kLoopback = 310;       // loopback endpoint table
 inline constexpr int kStreamConn = 320;     // stream-fabric routing maps
 inline constexpr int kStreamLoop = 326;     // event-loop conn registry
                                             // (acquired under kStreamConn
                                             // when a dial adopts the conn)
 inline constexpr int kStreamReply = 330;    // pending reply routes
-inline constexpr int kStreamBulk = 340;     // pending writable regions
+inline constexpr int kStreamCalls = 340;    // requests awaiting a response
 inline constexpr int kStreamOut = 350;      // per-connection send queue
 inline constexpr int kStreamStats = 360;    // traffic counters
 inline constexpr int kHttpExporter = 366;   // /metrics http listener state

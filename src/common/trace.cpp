@@ -91,10 +91,6 @@ std::atomic<std::uint64_t>& threshold_ns() noexcept {
   return t;
 }
 
-struct StagePad {
-  std::array<std::pair<const char*, std::uint64_t>, 8> stages;
-  std::size_t count = 0;
-};
 thread_local StagePad tls_stages{};
 
 void append_ms(std::string* out, std::uint64_t ns) {
@@ -132,6 +128,12 @@ void set_slow_op_threshold_ms(std::uint64_t ms) noexcept {
 }
 
 void stages_reset() noexcept { tls_stages.count = 0; }
+
+StageScope::StageScope() noexcept : saved_(tls_stages) {
+  tls_stages.count = 0;
+}
+
+StageScope::~StageScope() { tls_stages = saved_; }
 
 void stage_add(const char* stage, std::uint64_t ns) noexcept {
   StagePad& pad = tls_stages;

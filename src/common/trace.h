@@ -27,6 +27,8 @@
 // ContextGuard.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -143,6 +145,26 @@ void stages_reset() noexcept;
 void stage_add(const char* stage, std::uint64_t ns) noexcept;
 [[nodiscard]] std::vector<std::pair<const char*, std::uint64_t>>
 stages_snapshot();
+
+struct StagePad {
+  std::array<std::pair<const char*, std::uint64_t>, 8> stages;
+  std::size_t count = 0;
+};
+
+/// Saves the calling thread's stage pad and clears it; the destructor
+/// puts the saved stages back. The rpc engine wraps every handler in
+/// one, so a handler run inline on a client's own thread (loopback
+/// delivery) leaves the client's stages as they were.
+class StageScope {
+ public:
+  StageScope() noexcept;
+  ~StageScope();
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+ private:
+  StagePad saved_;
+};
 
 /// Emit the single-line breakdown:
 ///   slow-op <layer>.<op> trace=0x<id> total=12.4ms queue=0.1ms ...

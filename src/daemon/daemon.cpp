@@ -143,7 +143,9 @@ void GekkoDaemon::register_handlers_() {
   // Each handler is wrapped with daemon-level service accounting
   // (`daemon.<op>.ops/.errors/.latency`). The engine separately tracks
   // rpc.handler.* including queueing — the daemon view is pure service
-  // time of the op against kv/storage.
+  // time of the op against kv/storage. Where each handler runs (inline
+  // on the delivery thread or on the handler pool) is the op's
+  // proto::rpc_dispatch_class().
   auto bind = [this](RpcId id, const char* name,
                      Result<std::vector<std::uint8_t>> (GekkoDaemon::*fn)(
                          const net::Message&)) {
@@ -152,7 +154,7 @@ void GekkoDaemon::register_handlers_() {
     auto* errors = &registry_->counter(base + "errors");
     auto* latency = &registry_->histogram(base + "latency");
     engine_->register_rpc(
-        proto::to_wire(id), name,
+        proto::to_wire(id), name, proto::rpc_dispatch_class(id),
         [this, fn, ops, errors, latency](const net::Message& msg) {
           const std::uint64_t t0 = metrics::now_ns();
           auto result = (this->*fn)(msg);

@@ -111,7 +111,8 @@ class GekkoDaemon {
   /// block-cache hit/miss) as gauges so snapshots carry them.
   void publish_backend_metrics_();
 
-  // One handler per RpcId; each runs on the engine's handler pool.
+  // One handler per RpcId; each runs where proto::rpc_dispatch_class()
+  // says: inline on the fabric's delivery thread, or on the handler pool.
   Result<std::vector<std::uint8_t>> on_create_(const net::Message& msg);
   Result<std::vector<std::uint8_t>> on_stat_(const net::Message& msg);
   Result<std::vector<std::uint8_t>> on_remove_metadata_(

@@ -1,5 +1,6 @@
 // relaxed-ok: bulk_pulled_/bulk_pushed_ are standalone byte counters
 // mirrored into TrafficStats; no other data is published through them.
+// DeliverySlot's active_/closed_ pair is seq_cst (a Dekker handshake).
 #include "net/fabric.h"
 
 #include <cstring>
@@ -34,6 +35,24 @@ FaultAction Fabric::consult_injector_(EndpointId dest, const Message& msg) {
   return action;
 }
 
+bool DeliverySlot::deliver(Message msg) {
+  // Announce the call before checking closed_, and close() sets
+  // closed_ before reading active_: with both sides seq_cst, either
+  // this call sees closed_ or close() sees it running and waits.
+  active_.fetch_add(1);
+  const bool open = !closed_.load();
+  if (open) deliver_(std::move(msg));
+  if (active_.fetch_sub(1) == 1) active_.notify_all();
+  return open;
+}
+
+void DeliverySlot::close() {
+  closed_.store(true);
+  for (std::uint32_t n = active_.load(); n != 0; n = active_.load()) {
+    active_.wait(n);
+  }
+}
+
 LoopbackFabric::LoopbackFabric() {
   auto& reg = metrics::Registry::global();
   m_.messages = &reg.counter("net.loopback.messages");
@@ -43,12 +62,10 @@ LoopbackFabric::LoopbackFabric() {
   m_.bulk_pushed_bytes = &reg.counter("net.loopback.bulk_pushed_bytes");
 }
 
-std::pair<EndpointId, std::shared_ptr<Inbox>>
-LoopbackFabric::register_endpoint() {
+EndpointId LoopbackFabric::register_endpoint(Deliver deliver) {
   LockGuard lock(mutex_);
-  auto inbox = std::make_shared<Inbox>();
-  inboxes_.push_back(inbox);
-  return {static_cast<EndpointId>(inboxes_.size() - 1), inbox};
+  endpoints_.push_back(std::make_shared<DeliverySlot>(std::move(deliver)));
+  return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 
 Status LoopbackFabric::send(EndpointId dest, Message msg) {
@@ -56,11 +73,11 @@ Status LoopbackFabric::send(EndpointId dest, Message msg) {
   if (fault.delay.count() > 0) {
     std::this_thread::sleep_for(fault.delay);  // blocking-ok: scripted fault delay runs on the injecting sender's thread by design
   }
-  std::shared_ptr<Inbox> inbox;
+  std::shared_ptr<DeliverySlot> endpoint;
   {
     LockGuard lock(mutex_);
     ++send_counter_;
-    if (dest >= inboxes_.size() || !inboxes_[dest]) {
+    if (dest >= endpoints_.size() || !endpoints_[dest]) {
       return Status{Errc::disconnected, "unknown endpoint"};
     }
     const bool blackholed = fault_plan_.blackhole == dest;
@@ -78,25 +95,27 @@ Status LoopbackFabric::send(EndpointId dest, Message msg) {
     stats_.payload_bytes += msg.payload.size();
     m_.messages->inc();
     m_.bytes->inc(msg.payload.size());
-    inbox = inboxes_[dest];
+    endpoint = endpoints_[dest];
   }
-  // status-ignored-ok: injected duplicate; dropping it on a full inbox is fine
-  if (fault.duplicate) (void)inbox->push(msg);
-  if (!inbox->push(std::move(msg))) {
+  // Delivery runs right here, on the sender's thread, with no fabric
+  // lock held: the receiver's handler may itself send (its reply).
+  // status-ignored-ok: injected duplicate; losing it to a closing endpoint is fine
+  if (fault.duplicate) (void)endpoint->deliver(msg);
+  if (!endpoint->deliver(std::move(msg))) {
     return Status{Errc::disconnected, "endpoint shutting down"};
   }
   return Status::ok();
 }
 
 void LoopbackFabric::deregister(EndpointId id) {
-  std::shared_ptr<Inbox> inbox;
+  std::shared_ptr<DeliverySlot> endpoint;
   {
     LockGuard lock(mutex_);
-    if (id >= inboxes_.size()) return;
-    inbox = std::move(inboxes_[id]);
-    inboxes_[id] = nullptr;
+    if (id >= endpoints_.size()) return;
+    endpoint = std::move(endpoints_[id]);
+    endpoints_[id] = nullptr;
   }
-  if (inbox) inbox->close();
+  if (endpoint) endpoint->close();
 }
 
 void LoopbackFabric::set_fault_plan(FaultPlan plan) {
@@ -146,7 +165,7 @@ TrafficStats LoopbackFabric::stats() const {
 std::size_t LoopbackFabric::endpoint_count() const {
   LockGuard lock(mutex_);
   std::size_t n = 0;
-  for (const auto& p : inboxes_) {
+  for (const auto& p : endpoints_) {
     if (p) ++n;
   }
   return n;

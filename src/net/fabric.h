@@ -1,14 +1,17 @@
 // Fabric interface + the in-process loopback implementation.
 //
 // A Fabric is what Mercury's transport layer is to GekkoFS: endpoints
-// register, messages are delivered reliably to inboxes, and bulk
-// regions support one-sided-style transfers. Two implementations:
-//  - LoopbackFabric (here): all endpoints in one process; bulk ops are
-//    memcpys. Used by tests, benches, and the in-process cluster.
+// register a delivery callback, messages are handed to it reliably on
+// the fabric's own delivery thread, and bulk regions support
+// one-sided-style transfers. Two implementations:
+//  - LoopbackFabric (here): all endpoints in one process; delivery
+//    runs on the sender's thread and bulk ops are memcpys. Used by
+//    tests, benches, and the in-process cluster.
 //  - TcpFabric (tcp_fabric.h), the stream fabric: endpoints across
 //    PROCESSES over Unix-domain or TCP sockets named in a hostfile,
 //    for real `gkfsd` daemons. Bulk data is inlined into frames
 //    (Mercury's send/recv fallback path when RDMA is unavailable).
+//    Delivery runs on the fabric's event-loop threads.
 #pragma once
 
 #include <atomic>
@@ -16,12 +19,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/queue.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "net/message.h"
@@ -87,21 +88,51 @@ class CallbackFaultInjector final : public FaultInjector {
   Fn fn_;
 };
 
-class Inbox;
+/// An endpoint's receive callback. The fabric calls it once per
+/// message, on the fabric's delivery thread: the sender's thread for
+/// LoopbackFabric, an event-loop thread for the stream fabric. It may
+/// send (a reply goes out from the same thread) but must never wait on
+/// another message's delivery, which may need this very thread.
+///
+/// A stream connection that dies fails every request that left on it:
+/// the endpoint receives, for each such seq, a response whose payload
+/// is the single byte Errc::disconnected (the rpc engine's error
+/// framing), so callers learn at once instead of at their deadline.
+using Deliver = std::function<void(Message)>;
+
+/// An endpoint's delivery callback plus the count of calls into it
+/// still running, so deregistration can wait them out. Thread-safe.
+class DeliverySlot {
+ public:
+  explicit DeliverySlot(Deliver deliver) : deliver_(std::move(deliver)) {}
+
+  /// Hand `msg` to the callback; false once closed.
+  bool deliver(Message msg);
+  /// Refuse further deliveries, then wait until every call in progress
+  /// has returned. Must not be called from inside the callback.
+  void close();
+
+ private:
+  Deliver deliver_;
+  std::atomic<std::uint32_t> active_{0};
+  std::atomic<bool> closed_{false};
+};
 
 /// Abstract transport. All methods are thread-safe.
 class Fabric {
  public:
   virtual ~Fabric() = default;
 
-  /// Register a new endpoint; returns its id and inbox.
-  virtual std::pair<EndpointId, std::shared_ptr<Inbox>>
-  register_endpoint() = 0;
+  /// Register a new endpoint whose messages go to `deliver`; returns
+  /// its id, or kInvalidEndpoint if the endpoint cannot be set up.
+  virtual EndpointId register_endpoint(Deliver deliver) = 0;
 
-  /// Deliver a message to `dest`'s inbox.
+  /// Deliver a message to `dest`.
   virtual Status send(EndpointId dest, Message msg) = 0;
 
-  /// Remove an endpoint; its inbox closes.
+  /// Remove an endpoint. Returns once every delivery callback already
+  /// running for it has returned and no new one can start, so its owner
+  /// may be destroyed right after.
   virtual void deregister(EndpointId id) = 0;
 
   /// One-sided-style transfer out of an exposed region.
@@ -138,26 +169,15 @@ class Fabric {
   metrics::Counter* fault_fires_;  // global registry, cached
 };
 
-/// An endpoint's receive queue.
-class Inbox {
- public:
-  std::optional<Message> receive() { return queue_.pop(); }
-  std::optional<Message> try_receive() { return queue_.try_pop(); }
-  void close() { queue_.close(); }
-  bool push(Message msg) { return queue_.push(std::move(msg)); }
-
- private:
-  BlockingQueue<Message> queue_;
-};
-
-/// All endpoints in one process; delivery is a queue push.
+/// All endpoints in one process; delivery is a direct call on the
+/// sender's thread.
 class LoopbackFabric final : public Fabric {
  public:
   LoopbackFabric();
   LoopbackFabric(const LoopbackFabric&) = delete;
   LoopbackFabric& operator=(const LoopbackFabric&) = delete;
 
-  std::pair<EndpointId, std::shared_ptr<Inbox>> register_endpoint() override;
+  EndpointId register_endpoint(Deliver deliver) override;
 
   /// Dropped-by-fault messages report success (like a real lossy
   /// fabric — the sender can't tell).
@@ -178,7 +198,7 @@ class LoopbackFabric final : public Fabric {
 
  private:
   mutable Mutex mutex_{"net.loopback", lockdep::rank::kLoopback};
-  std::vector<std::shared_ptr<Inbox>> inboxes_
+  std::vector<std::shared_ptr<DeliverySlot>> endpoints_
       GEKKO_GUARDED_BY(mutex_);  // index == EndpointId
   FaultPlan fault_plan_ GEKKO_GUARDED_BY(mutex_){};
   std::uint64_t send_counter_ GEKKO_GUARDED_BY(mutex_) = 0;

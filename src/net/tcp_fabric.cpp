@@ -396,12 +396,12 @@ TcpFabric::EventLoop* TcpFabric::pick_loop_() {
   return loops_[i].get();
 }
 
-std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
-  if (inbox_ != nullptr) {
+EndpointId TcpFabric::register_endpoint(Deliver deliver) {
+  if (delivery_ != nullptr) {
     GEKKO_ERROR("net.stream") << "second endpoint on a stream fabric";
-    return {kInvalidEndpoint, nullptr};
+    return kInvalidEndpoint;
   }
-  inbox_ = std::make_shared<Inbox>();
+  delivery_ = std::make_unique<DeliverySlot>(std::move(deliver));
   if (options_.self_id != kInvalidEndpoint) {
     self_ = options_.self_id;
     if (Status st = start_listener_(); !st.is_ok()) {
@@ -409,15 +409,16 @@ std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
       // Roll the registration back entirely: a retry after the caller
       // fixes the cause (missing socket dir, port in use) must see the
       // real error again, not the "second endpoint" guard tripping on
-      // the inbox this failed attempt left behind.
-      inbox_.reset();
+      // the slot this failed attempt left behind. No connection exists
+      // yet, so nothing can be delivering into it.
+      delivery_.reset();
       self_ = kInvalidEndpoint;
-      return {kInvalidEndpoint, nullptr};
+      return kInvalidEndpoint;
     }
   } else {
     self_ = wire::derive_client_endpoint_id();
   }
-  return {self_, inbox_};
+  return self_;
 }
 
 Status TcpFabric::start_listener_() {
@@ -574,27 +575,6 @@ bool TcpFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
   BulkRegion writable_bulk;
   if (decoded.bulk_mode == wire::kBulkWritableSize) writable_bulk = msg.bulk;
 
-  if (decoded.bulk_mode == wire::kBulkResponseData) {
-    // Response carrying dirty ranges for one of OUR pending writable
-    // regions: apply them before delivery. Fan-out reads have several
-    // responses filling disjoint parts of one region, so only written
-    // ranges travel. Applied under bulk_mutex_, which cancel() also
-    // takes: once a cancel returns, no byte lands in the caller's
-    // buffer. A range outside its region is a corrupt or hostile peer:
-    // kill the connection rather than skip the range (the caller would
-    // read stale bytes and never learn). No entry means cancelled or
-    // timed out: the ranges are dropped.
-    LockGuard lock(bulk_mutex_);
-    auto it = pending_writable_.find(msg.seq);
-    if (it != pending_writable_.end()) {
-      if (!wire::apply_response_ranges(it->second.region, decoded.ranges)
-               .is_ok()) {
-        return false;
-      }
-      pending_writable_.erase(it);
-    }
-  }
-
   if (msg.kind == MessageKind::request) {
     PendingReply reply;
     reply.conn = conn;
@@ -602,11 +582,30 @@ bool TcpFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
     LockGuard lock(reply_mutex_);
     pending_replies_[ReplyKey{msg.source, msg.seq}] = std::move(reply);
   } else {
-    LockGuard lock(bulk_mutex_);
-    pending_writable_.erase(msg.seq);
+    // A response settles its pending call. If it carries dirty ranges
+    // for the call's writable region, apply them before delivery.
+    // Fan-out reads have several responses filling disjoint parts of
+    // one region, so only written ranges travel. Applied under
+    // calls_mutex_, which cancel() also takes: once a cancel returns,
+    // no byte lands in the caller's buffer. A range outside its region
+    // is a corrupt or hostile peer: kill the connection rather than
+    // skip the range (the caller would read stale bytes and never
+    // learn); the eviction then fails the call. No entry means
+    // cancelled or timed out: the ranges are dropped.
+    LockGuard lock(calls_mutex_);
+    auto it = pending_calls_.find(msg.seq);
+    if (it != pending_calls_.end()) {
+      if (decoded.bulk_mode == wire::kBulkResponseData &&
+          !wire::apply_response_ranges(it->second.region, decoded.ranges)
+               .is_ok()) {
+        return false;
+      }
+      pending_calls_.erase(it);
+    }
   }
 
-  return inbox_ && inbox_->push(std::move(msg));
+  // Straight to the endpoint, on this loop thread, with no lock held.
+  return delivery_ != nullptr && delivery_->deliver(std::move(msg));
 }
 
 Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
@@ -769,10 +768,26 @@ void TcpFabric::evict_(const std::shared_ptr<Conn>& conn) {
     std::erase_if(pending_replies_,
                   [&](const auto& kv) { return kv.second.conn == conn; });
   }
+  if (delivery_ == nullptr) return;  // no endpoint, so no calls
+  std::vector<std::uint64_t> failed;
   {
-    LockGuard lock(bulk_mutex_);
-    std::erase_if(pending_writable_,
-                  [&](const auto& kv) { return kv.second.conn == conn; });
+    LockGuard lock(calls_mutex_);
+    std::erase_if(pending_calls_, [&](const auto& kv) {
+      if (kv.second.conn != conn) return false;
+      failed.push_back(kv.first);
+      return true;
+    });
+  }
+  // No response can arrive over a dead link: fail each call now rather
+  // than leave its caller waiting out the rpc timeout.
+  for (const std::uint64_t seq : failed) {
+    Message msg;
+    msg.kind = MessageKind::response;
+    msg.seq = seq;
+    msg.source = conn->peer;
+    msg.payload = {static_cast<std::uint8_t>(Errc::disconnected)};
+    // status-ignored-ok: a closed endpoint has already failed its calls
+    (void)delivery_->deliver(std::move(msg));
   }
 }
 
@@ -793,8 +808,8 @@ void TcpFabric::kill_connection_(EndpointId dest, const Message& msg) {
 }
 
 void TcpFabric::cancel(std::uint64_t seq) {
-  LockGuard lock(bulk_mutex_);
-  pending_writable_.erase(seq);
+  LockGuard lock(calls_mutex_);
+  pending_calls_.erase(seq);
 }
 
 Status TcpFabric::send(EndpointId dest, Message msg) {
@@ -843,13 +858,18 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
   // redial once, transparently.
   auto frame = wire::encode_frame(msg, nullptr, self_, options_.max_frame_bytes);
   if (!frame) return frame.status();
+  const bool writable =
+      msg.bulk.valid() && msg.bulk.writable() && !msg.bulk.owned();
   Status last = Status::ok();
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto conn = connect_to_(dest);
     if (!conn) return conn.status();
-    if (msg.bulk.valid() && msg.bulk.writable() && !msg.bulk.owned()) {
-      LockGuard lock(bulk_mutex_);
-      pending_writable_[msg.seq] = PendingWritable{msg.bulk, *conn};
+    {
+      // Registered before the frame leaves: the response may be read
+      // by a loop thread before send_frame_ returns.
+      LockGuard lock(calls_mutex_);
+      pending_calls_[msg.seq] =
+          PendingCall{*conn, writable ? msg.bulk : BulkRegion{}};
     }
     last = send_frame_(**conn, *frame);
     if (last.is_ok()) {
@@ -857,10 +877,14 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
       if (fault.duplicate) (void)send_frame_(**conn, *frame);
       return last;
     }
+    bool still_ours = false;
     {
-      LockGuard lock(bulk_mutex_);
-      pending_writable_.erase(msg.seq);
+      LockGuard lock(calls_mutex_);
+      still_ours = pending_calls_.erase(msg.seq) > 0;
     }
+    // A concurrent eviction of this link already failed the call with
+    // `disconnected`; a redial now could run the request anyway.
+    if (!still_ours) return Status::ok();
     if (last.code() != Errc::disconnected) return last;  // e.g. overflow
     kill_conn_(*conn);
   }
@@ -869,7 +893,7 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
 
 void TcpFabric::deregister(EndpointId id) {
   (void)id;
-  shutdown_();
+  shutdown_();  // joins the loops: no delivery runs once this returns
 }
 
 void TcpFabric::shutdown_() {
@@ -902,10 +926,12 @@ void TcpFabric::shutdown_() {
     pending_replies_.clear();
   }
   {
-    LockGuard lock(bulk_mutex_);
-    pending_writable_.clear();
+    LockGuard lock(calls_mutex_);
+    pending_calls_.clear();
   }
-  if (inbox_) inbox_->close();
+  // The loops are joined; this waits out any eviction still delivering
+  // from a sender's thread.
+  if (delivery_ != nullptr) delivery_->close();
 }
 
 Status TcpFabric::bulk_pull(const BulkRegion& region, std::size_t offset,

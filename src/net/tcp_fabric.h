@@ -23,7 +23,11 @@
 //    when it is backed up, frames are flattened onto the queue and the
 //    event loop coalesces the whole backlog into single sendmsg
 //    calls (<family>.coalesced_frames counts frames that shared one
-//    flush with others).
+//    flush with others),
+//  - delivery on the loop thread: each decoded frame goes straight to
+//    the endpoint's Deliver callback from the loop that read it, and
+//    a connection that dies fails the requests that left on it
+//    through the same callback.
 //
 // Frames use the shared wire::frame codec (33-byte minimum frame).
 // Counters are named after the family: net.socket.* for AF_UNIX,
@@ -36,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,7 +65,7 @@ class TcpFabric final : public HostedFabric {
   TcpFabric(const TcpFabric&) = delete;
   TcpFabric& operator=(const TcpFabric&) = delete;
 
-  std::pair<EndpointId, std::shared_ptr<Inbox>> register_endpoint() override;
+  EndpointId register_endpoint(Deliver deliver) override;
   Status send(EndpointId dest, Message msg) override;
   void deregister(EndpointId id) override;
   void cancel(std::uint64_t seq) override;
@@ -159,6 +164,8 @@ class TcpFabric final : public HostedFabric {
   /// Sever + deregister + fail everything tied to this connection.
   /// Safe from any thread, including loop threads.
   void kill_conn_(const std::shared_ptr<Conn>& conn);
+  /// Drop the connection's routes, then fail each request that left on
+  /// it with a `disconnected` response.
   void evict_(const std::shared_ptr<Conn>& conn);
   void kill_connection_(EndpointId dest, const Message& msg);
   void shutdown_();
@@ -171,7 +178,9 @@ class TcpFabric final : public HostedFabric {
   int family_;  // AF_UNIX or AF_INET, shared by every hostfile address
   std::map<EndpointId, std::string> hosts_;
   EndpointId self_ = kInvalidEndpoint;
-  std::shared_ptr<Inbox> inbox_;
+  /// Set by register_endpoint() before any loop thread starts; closed,
+  /// never reset, on shutdown.
+  std::unique_ptr<DeliverySlot> delivery_;
 
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
@@ -196,16 +205,17 @@ class TcpFabric final : public HostedFabric {
   std::map<ReplyKey, PendingReply> pending_replies_
       GEKKO_GUARDED_BY(reply_mutex_);
 
-  // Requesting side: writable regions awaiting response bulk, tied to
-  // the connection the request left on so a dead link fails them
-  // instead of leaking them.
-  struct PendingWritable {
-    BulkRegion region;
+  // Requesting side: every request awaiting its response, keyed by
+  // seq and tied to the connection it left on, so a dead link fails
+  // the calls at once. `region` is the caller's writable bulk region
+  // the response's data ranges land in, if the request exposed one.
+  struct PendingCall {
     std::shared_ptr<Conn> conn;
+    BulkRegion region;
   };
-  Mutex bulk_mutex_{"net.stream.bulk", lockdep::rank::kStreamBulk};
-  std::map<std::uint64_t, PendingWritable> pending_writable_
-      GEKKO_GUARDED_BY(bulk_mutex_);
+  Mutex calls_mutex_{"net.stream.calls", lockdep::rank::kStreamCalls};
+  std::unordered_map<std::uint64_t, PendingCall> pending_calls_
+      GEKKO_GUARDED_BY(calls_mutex_);
 
   mutable Mutex stats_mutex_{"net.stream.stats",
                              lockdep::rank::kStreamStats};

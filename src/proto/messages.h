@@ -16,6 +16,7 @@
 #include "common/result.h"
 #include "common/trace.h"
 #include "proto/metadata.h"
+#include "rpc/dispatch.h"
 
 namespace gekko::proto {
 
@@ -124,6 +125,42 @@ inline constexpr RpcRetryClass rpc_retry_class(RpcId id) {
 inline constexpr bool rpc_retryable(std::uint16_t id) {
   return rpc_retry_class(static_cast<RpcId>(id)) ==
          RpcRetryClass::idempotent;
+}
+
+/// Dispatch classification for the daemon's engine (rpc/dispatch.h).
+/// Every RpcId MUST be classified explicitly in rpc_dispatch_class();
+/// gekko-protocheck fails the lint gate otherwise, as for the retry
+/// class.
+///  - inline_delivery: runs on the fabric's delivery thread. Only for
+///    handlers whose waits never need the fabric: the metadata ops
+///    (their one wait is a kv write stall, which the kv's own flush
+///    thread clears) and the heartbeat.
+///  - pooled: posted to the handler pool. Chunk I/O joins io-pool
+///    tasks; remove_data and truncate_data walk chunk files; the
+///    diagnostic dumps serialize whole rings and registries.
+inline constexpr rpc::Dispatch rpc_dispatch_class(RpcId id) {
+  switch (id) {
+    case RpcId::create: return rpc::Dispatch::inline_delivery;
+    case RpcId::stat: return rpc::Dispatch::inline_delivery;
+    case RpcId::remove_metadata: return rpc::Dispatch::inline_delivery;
+    case RpcId::remove_data: return rpc::Dispatch::pooled;
+    case RpcId::update_size: return rpc::Dispatch::inline_delivery;
+    case RpcId::truncate_metadata: return rpc::Dispatch::inline_delivery;
+    case RpcId::truncate_data: return rpc::Dispatch::pooled;
+    case RpcId::write_chunks: return rpc::Dispatch::pooled;
+    case RpcId::read_chunks: return rpc::Dispatch::pooled;
+    case RpcId::get_dirents: return rpc::Dispatch::inline_delivery;
+    case RpcId::daemon_stat: return rpc::Dispatch::pooled;
+    case RpcId::trace_dump: return rpc::Dispatch::pooled;
+    case RpcId::heartbeat: return rpc::Dispatch::inline_delivery;
+    case RpcId::metric_history: return rpc::Dispatch::pooled;
+    case RpcId::batch_create: return rpc::Dispatch::inline_delivery;
+    case RpcId::batch_stat: return rpc::Dispatch::inline_delivery;
+    case RpcId::batch_remove: return rpc::Dispatch::inline_delivery;
+    case RpcId::flight_dump: return rpc::Dispatch::pooled;
+  }
+  // Unknown ids have no handler; pooled is the conservative default.
+  return rpc::Dispatch::pooled;
 }
 
 /// Preallocation guard for wire-decoded repeated fields. `count` comes

@@ -1,8 +1,10 @@
 // relaxed-ok: see engine.h — counters and metrics slot pointers only.
+// table_ and started_ publish with release/acquire.
 #include "rpc/engine.h"
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "common/flight_recorder.h"
 #include "common/hash.h"
@@ -35,33 +37,48 @@ Engine::Engine(net::Fabric& fabric, EngineOptions options)
       agg_handled_(&registry_->counter("rpc.requests_handled")),
       agg_retries_(&registry_->counter("rpc.retries")),
       agg_timeouts_(&registry_->counter("rpc.timeouts")) {
-  auto [id, inbox] = fabric_.register_endpoint();
-  self_ = id;
-  inbox_ = std::move(inbox);
+  // Requests the fabric delivers before the constructor finishes are
+  // parked (started_ is still false) and dispatched by start() below,
+  // after self_ is set.
+  self_ = fabric_.register_endpoint(
+      [this](net::Message msg) { deliver_(std::move(msg)); });
   // The process's first engine names the node for trace spans (a
   // daemon's daemon id, a client's salted endpoint id).
   tracer_->set_node_id_if_unset(static_cast<std::uint32_t>(self_));
-  if (!options_.start_paused) {
-    progress_ = std::thread([this] { progress_loop_(); });
-  }
+  if (!options_.start_paused) start();
 }
 
 void Engine::start() {
-  if (stopped_.load() || progress_.joinable()) return;
-  progress_ = std::thread([this] { progress_loop_(); });
+  if (stopped_.load()) return;
+  // Dispatch in arrival order: requests that come in while a batch is
+  // being served park behind it, and started_ flips only once the
+  // parking lot is empty.
+  for (;;) {
+    std::vector<net::Message> batch;
+    {
+      LockGuard lock(park_mutex_);
+      if (parked_.empty()) {
+        started_.store(true, std::memory_order_release);
+        return;
+      }
+      batch.swap(parked_);
+    }
+    for (net::Message& msg : batch) dispatch_request_(std::move(msg));
+  }
 }
 
 Engine::~Engine() { shutdown(); }
 
 void Engine::shutdown() {
   bool expected = false;
-  if (!stopped_.compare_exchange_strong(expected, true)) {
-    if (progress_.joinable()) progress_.join();
-    return;
-  }
-  fabric_.deregister(self_);  // closes the inbox, unblocking progress
-  if (progress_.joinable()) progress_.join();
+  if (!stopped_.compare_exchange_strong(expected, true)) return;
+  // Returns once no delivery callback runs or can start.
+  fabric_.deregister(self_);
   handler_pool_.shutdown();
+  {
+    LockGuard lock(park_mutex_);
+    parked_.clear();
+  }
   // Fail any still-pending forwards.
   LockGuard lock(pending_mutex_);
   for (auto& [seq, eventual] : pending_) {
@@ -71,16 +88,27 @@ void Engine::shutdown() {
 }
 
 void Engine::register_rpc(std::uint16_t rpc_id, std::string name,
-                          Handler handler) {
-  auto hm = std::make_shared<HandlerMetrics>();
+                          Dispatch dispatch, Handler handler) {
+  auto entry = std::make_unique<RpcEntry>();
   const std::string base = "rpc.handler." + name + ".";
-  hm->handled = &registry_->counter(base + "handled");
-  hm->errors = &registry_->counter(base + "errors");
-  hm->latency = &registry_->histogram(base + "latency");
-  hm->queue = &registry_->histogram(base + "queue");
-  hm->inflight = &registry_->gauge(base + "inflight");
+  entry->metrics.handled = &registry_->counter(base + "handled");
+  entry->metrics.errors = &registry_->counter(base + "errors");
+  entry->metrics.latency = &registry_->histogram(base + "latency");
+  entry->metrics.queue = &registry_->histogram(base + "queue");
+  entry->metrics.inflight = &registry_->gauge(base + "inflight");
+  entry->name = std::move(name);
+  entry->dispatch = dispatch;
+  entry->handler = std::move(handler);
+
   LockGuard lock(rpc_mutex_);
-  rpcs_[rpc_id] = RpcEntry{std::move(name), std::move(handler), std::move(hm)};
+  const RpcTable* current = table_.load(std::memory_order_acquire);
+  auto next = std::make_unique<RpcTable>(current != nullptr ? *current
+                                                            : RpcTable{});
+  if (next->size() <= rpc_id) next->resize(std::size_t{rpc_id} + 1, nullptr);
+  (*next)[rpc_id] = entry.get();
+  entries_.push_back(std::move(entry));
+  table_.store(next.get(), std::memory_order_release);
+  tables_.push_back(std::move(next));
 }
 
 std::string Engine::rpc_name_(std::uint16_t rpc_id) const {
@@ -155,7 +183,7 @@ Result<std::vector<std::uint8_t>> Engine::forward(
                       << dest << " " << errc_name(result.code())
                       << ", retry " << (attempt + 1) << "/" << (attempts - 1)
                       << " after backoff";
-    std::this_thread::sleep_for(jittered_(backoff, call.seq));  // blocking-ok: retry backoff runs on the blocked caller's thread, never on progress/handler threads
+    std::this_thread::sleep_for(jittered_(backoff, call.seq));  // blocking-ok: retry backoff runs on the blocked caller's thread, never on delivery/handler threads
     backoff = std::min(backoff * 2, options_.retry_backoff_max);
   }
 }
@@ -289,114 +317,109 @@ Result<std::vector<std::uint8_t>> Engine::finish(
   return std::move(*result);
 }
 
-void Engine::progress_loop_() {
-  while (auto msg = inbox_->receive()) {
-    if (msg->kind == net::MessageKind::request) {
-      dispatch_request_(std::move(*msg));
-    } else {
-      complete_response_(std::move(*msg));
+void Engine::deliver_(net::Message msg) {
+  if (msg.kind == net::MessageKind::response) {
+    complete_response_(std::move(msg));
+    return;
+  }
+  if (!started_.load(std::memory_order_acquire)) {
+    LockGuard lock(park_mutex_);
+    if (!started_.load(std::memory_order_acquire)) {
+      parked_.push_back(std::move(msg));
+      return;
     }
   }
+  dispatch_request_(std::move(msg));
 }
 
 void Engine::dispatch_request_(net::Message msg) {
-  // Progress thread: the message's trace, not this thread's context.
+  // Delivery thread: the message's trace, not this thread's context.
   flight::record_traced(flight::Subsys::engine, flight::ev::engine_dispatch,
                         msg.trace_id, msg.seq, msg.rpc_id);
-  Handler handler;
-  std::shared_ptr<HandlerMetrics> hm;
-  std::string rpc_label;
-  {
-    LockGuard lock(rpc_mutex_);
-    auto it = rpcs_.find(msg.rpc_id);
-    if (it != rpcs_.end()) {
-      handler = it->second.handler;
-      hm = it->second.metrics;
-      rpc_label = it->second.name;
-    }
-  }
-  if (!handler) {
+  const RpcTable* table = table_.load(std::memory_order_acquire);
+  const RpcEntry* entry = table != nullptr && msg.rpc_id < table->size()
+                              ? (*table)[msg.rpc_id]
+                              : nullptr;
+  if (entry == nullptr) {
     GEKKO_WARN("rpc") << options_.name << ": no handler for rpc id "
                       << msg.rpc_id;
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = msg.seq;
-    resp.trace_id = msg.trace_id;
-    resp.source = self_;
-    resp.payload = frame_error(Errc::not_supported);
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(msg.source, std::move(resp));
+    reply_(msg, frame_error(Errc::not_supported));
     return;
   }
 
-  const std::uint64_t t_enq = metrics::now_ns();
-  auto shared_msg = std::make_shared<net::Message>(std::move(msg));
-  const bool posted = handler_pool_.post([this, handler = std::move(handler),
-                                          hm, t_enq, shared_msg,
-                                          rpc_label = std::move(rpc_label)] {
-    // Attribute queueing (progress thread → handler pool pickup) and
-    // service time separately: a slow op whose queue span dominates is
-    // starved for handler threads, not slow to serve.
-    const std::uint64_t t_start = metrics::now_ns();
-    hm->queue->record(t_start - t_enq);
-    hm->inflight->add(1);
-    // The service span is minted before the handler runs so the
-    // handler's own child spans (io slices, storage, WAL) can parent
-    // under it via the thread-local context. Handlers that fan work to
-    // other threads deposit per-stage times for the watchdog line.
-    const std::uint64_t service_span = trace::new_span_id();
-    trace::stages_reset();
-    trace::stage_add("queue", t_start - t_enq);
-    Result<std::vector<std::uint8_t>> result = [&] {
-      trace::ContextGuard guard(
-          trace::enabled()
-              ? trace::SpanContext{shared_msg->trace_id, service_span}
-              : trace::SpanContext{});
-      return handler(*shared_msg);
-    }();
-    const std::uint64_t t_done = metrics::now_ns();
-    hm->inflight->sub(1);
-    hm->latency->record(t_done - t_start);
-    hm->handled->inc();
-    if (!result.is_ok()) hm->errors->inc();
-    tracer_->record("rpc.queue", shared_msg->trace_id, trace::new_span_id(),
-                    shared_msg->parent_span, shared_msg->rpc_id, 0, t_enq,
-                    t_start - t_enq);
-    tracer_->record("rpc.service", shared_msg->trace_id, service_span,
-                    shared_msg->parent_span, shared_msg->rpc_id, 0, t_start,
-                    t_done - t_start);
-    // Serving-side slow-op watchdog: one line with the queue/service
-    // split plus whatever stages the handler deposited (io, bulk).
-    const std::uint64_t threshold = trace::slow_op_threshold_ns();
-    if (threshold != 0 && t_done - t_enq > threshold) {
-      trace::log_slow_op(options_.name.c_str(),
-                         rpc_label.empty() ? rpc_name_(shared_msg->rpc_id)
-                                           : rpc_label,
-                         shared_msg->trace_id, t_done - t_enq,
-                         {{"service", t_done - t_start}});
-    }
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = shared_msg->seq;
-    resp.trace_id = shared_msg->trace_id;
-    resp.source = self_;
-    resp.payload = result.is_ok() ? frame_ok(std::move(*result))
-                                  : frame_error(result.code());
-    handled_.fetch_add(1, std::memory_order_relaxed);
-    agg_handled_->inc();
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(shared_msg->source, std::move(resp));
-  });
-  if (!posted) {
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = shared_msg->seq;
-    resp.trace_id = shared_msg->trace_id;
-    resp.source = self_;
-    resp.payload = frame_error(Errc::disconnected);
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(shared_msg->source, std::move(resp));
+  const std::uint64_t t_delivered = metrics::now_ns();
+  if (entry->dispatch == Dispatch::inline_delivery) {
+    serve_(*entry, msg, t_delivered);
+    return;
   }
+  auto shared_msg = std::make_shared<net::Message>(std::move(msg));
+  const bool posted =
+      handler_pool_.post([this, entry, shared_msg, t_delivered] {
+        serve_(*entry, *shared_msg, t_delivered);
+      });
+  if (!posted) reply_(*shared_msg, frame_error(Errc::disconnected));
+}
+
+void Engine::serve_(const RpcEntry& entry, const net::Message& msg,
+                    std::uint64_t t_delivered) {
+  const HandlerMetrics& hm = entry.metrics;
+  // Attribute queueing (delivery → handler start) and service time
+  // separately: a slow op whose queue span dominates is starved for
+  // handler threads, not slow to serve. Inline handlers queue ~0.
+  const std::uint64_t t_start = metrics::now_ns();
+  hm.queue->record(t_start - t_delivered);
+  hm.inflight->add(1);
+  // The service span is minted before the handler runs so the
+  // handler's own child spans (io slices, storage, WAL) can parent
+  // under it via the thread-local context. Handlers that fan work to
+  // other threads deposit per-stage times for the watchdog line. Both
+  // the context and the stage pad are restored afterwards: on loopback
+  // an inline handler runs on the sending client's own thread.
+  const std::uint64_t service_span = trace::new_span_id();
+  const trace::StageScope stages;
+  trace::stage_add("queue", t_start - t_delivered);
+  Result<std::vector<std::uint8_t>> result = [&] {
+    trace::ContextGuard guard(
+        trace::enabled() ? trace::SpanContext{msg.trace_id, service_span}
+                         : trace::SpanContext{});
+    return entry.handler(msg);
+  }();
+  const std::uint64_t t_done = metrics::now_ns();
+  hm.inflight->sub(1);
+  hm.latency->record(t_done - t_start);
+  hm.handled->inc();
+  if (!result.is_ok()) hm.errors->inc();
+  tracer_->record("rpc.queue", msg.trace_id, trace::new_span_id(),
+                  msg.parent_span, msg.rpc_id, 0, t_delivered,
+                  t_start - t_delivered);
+  tracer_->record("rpc.service", msg.trace_id, service_span, msg.parent_span,
+                  msg.rpc_id, 0, t_start, t_done - t_start);
+  // Serving-side slow-op watchdog: one line with the queue/service
+  // split plus whatever stages the handler deposited (io, bulk).
+  const std::uint64_t threshold = trace::slow_op_threshold_ns();
+  if (threshold != 0 && t_done - t_delivered > threshold) {
+    trace::log_slow_op(options_.name.c_str(),
+                       entry.name.empty() ? rpc_name_(msg.rpc_id)
+                                          : entry.name,
+                       msg.trace_id, t_done - t_delivered,
+                       {{"service", t_done - t_start}});
+  }
+  handled_.fetch_add(1, std::memory_order_relaxed);
+  agg_handled_->inc();
+  reply_(msg, result.is_ok() ? frame_ok(std::move(*result))
+                             : frame_error(result.code()));
+}
+
+void Engine::reply_(const net::Message& request,
+                    std::vector<std::uint8_t> payload) {
+  net::Message resp;
+  resp.kind = net::MessageKind::response;
+  resp.seq = request.seq;
+  resp.trace_id = request.trace_id;
+  resp.source = self_;
+  resp.payload = std::move(payload);
+  // status-ignored-ok: best-effort reply; a lost one times the caller out
+  (void)fabric_.send(request.source, std::move(resp));
 }
 
 void Engine::complete_response_(net::Message msg) {

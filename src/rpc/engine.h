@@ -1,12 +1,17 @@
 // RPC engine standing in for Mercury+Margo.
 //
 // Each GekkoFS daemon and each client owns an Engine. The engine:
-//  - registers an endpoint on the shared Fabric,
-//  - runs a progress thread that drains the inbox (Margo progress ULT),
-//  - dispatches incoming requests onto a handler Pool (Margo handler
+//  - registers an endpoint on the shared Fabric with a delivery
+//    callback, which the fabric calls on its own delivery thread (an
+//    event-loop thread, or the sender's thread on loopback),
+//  - runs each request's handler where its dispatch class says: inline
+//    on that delivery thread (Margo's progress ULT running a handler
+//    in place), or posted to the handler Pool (Margo handler
 //    xstreams),
-//  - implements blocking forward() with sequence-matched responses and
-//    timeouts (margo_forward + margo_wait).
+//  - completes the caller's Eventual straight from the delivery thread
+//    when a response arrives, and implements blocking forward() with
+//    sequence-matched responses and timeouts (margo_forward +
+//    margo_wait).
 //
 // Handlers receive the raw request (including any exposed bulk region)
 // and return a serialized response payload or an error code, which is
@@ -23,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -31,13 +35,14 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "net/fabric.h"
+#include "rpc/dispatch.h"
 #include "task/future.h"
 #include "task/pool.h"
 
 namespace gekko::rpc {
 
 /// A handler consumes the request and produces a response payload.
-/// It runs on the engine's handler pool. It may perform bulk transfers
+/// It runs where its Dispatch class says. It may perform bulk transfers
 /// through the engine's fabric against msg.bulk.
 using Handler =
     std::function<Result<std::vector<std::uint8_t>>(const net::Message&)>;
@@ -73,8 +78,8 @@ struct EngineOptions {
   /// start(). Servers that register_rpc() after construction use this
   /// to close the accept-before-handlers window: without it a client
   /// that connects the moment the listener appears can have a valid
-  /// request bounced with not_supported. Early frames queue in the
-  /// fabric inbox and dispatch on start().
+  /// request bounced with not_supported. Early requests are parked in
+  /// the engine and dispatched, in arrival order, by start().
   bool start_paused = false;
 };
 
@@ -87,10 +92,18 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Register a handler for an RPC id. Must happen before requests for
-  /// that id arrive; re-registration replaces (single-threaded setup).
-  void register_rpc(std::uint16_t rpc_id, std::string name, Handler handler);
+  /// that id arrive; re-registration replaces. Lookups on the request
+  /// path take no lock: a registration publishes a new immutable table.
+  void register_rpc(std::uint16_t rpc_id, std::string name, Dispatch dispatch,
+                    Handler handler);
+  /// Same, pooled.
+  void register_rpc(std::uint16_t rpc_id, std::string name, Handler handler) {
+    register_rpc(rpc_id, std::move(name), Dispatch::pooled,
+                 std::move(handler));
+  }
 
-  /// Begin dispatching when constructed with start_paused. Call once
+  /// Begin dispatching when constructed with start_paused: dispatches
+  /// the requests parked so far, then lets new ones through. Call once
   /// from the constructing thread after registration; no-op when the
   /// engine already runs or has shut down.
   void start();
@@ -154,7 +167,8 @@ class Engine {
   Result<std::vector<std::uint8_t>> finish(PendingCall& call,
                                            std::chrono::milliseconds timeout);
 
-  /// Stop the progress thread and handler pool. Idempotent.
+  /// Deregister the endpoint (waits out running deliveries), drain the
+  /// handler pool and fail every call still pending. Idempotent.
   void shutdown();
 
   [[nodiscard]] net::EndpointId endpoint() const noexcept { return self_; }
@@ -196,11 +210,21 @@ class Engine {
     metrics::Counter* handled;
     metrics::Counter* errors;
     metrics::Histogram* latency;  // handler service time, ns
-    metrics::Histogram* queue;    // progress-thread enqueue → start, ns
+    metrics::Histogram* queue;    // delivery → handler start, ns
     metrics::Gauge* inflight;
   };
 
-  void progress_loop_();
+  /// One registered rpc. Immutable once published; lives as long as
+  /// the engine, so the request path uses it by pointer.
+  struct RpcEntry {
+    std::string name;
+    Dispatch dispatch = Dispatch::pooled;
+    Handler handler;
+    HandlerMetrics metrics{};
+  };
+  /// Published handler table, indexed by rpc id (nullptr = none).
+  /// Replaced whole by register_rpc(); never mutated once published.
+  using RpcTable = std::vector<const RpcEntry*>;
   [[nodiscard]] std::chrono::milliseconds jittered_(
       std::chrono::milliseconds base, std::uint64_t seed) const;
   /// begin_forward with explicit trace lineage: `trace_id` 0 mints a
@@ -213,7 +237,13 @@ class Engine {
                                     std::uint64_t trace_id,
                                     std::uint64_t parent_span_id,
                                     std::uint32_t attempt);
+  /// The fabric's Deliver callback.
+  void deliver_(net::Message msg);
   void dispatch_request_(net::Message msg);
+  /// Run `entry`'s handler on this thread and send the response.
+  void serve_(const RpcEntry& entry, const net::Message& msg,
+              std::uint64_t t_delivered);
+  void reply_(const net::Message& request, std::vector<std::uint8_t> payload);
   void complete_response_(net::Message msg);
   CallerMetrics* caller_metrics_for_(std::uint16_t rpc_id);
   [[nodiscard]] std::string rpc_name_(std::uint16_t rpc_id) const;
@@ -223,18 +253,21 @@ class Engine {
   metrics::Registry* registry_;  // resolved from options_, never null
   metrics::Tracer* tracer_;      // resolved from options_, never null
   net::EndpointId self_;
-  std::shared_ptr<net::Inbox> inbox_;
   task::Pool handler_pool_;
-  std::thread progress_;
 
+  /// Serializes registration; the request path reads table_ lock-free.
   Mutex rpc_mutex_{"rpc.engine.table", lockdep::rank::kEngineRpcTable};
-  struct RpcEntry {
-    std::string name;
-    Handler handler;
-    std::shared_ptr<HandlerMetrics> metrics;
-  };
-  std::unordered_map<std::uint16_t, RpcEntry> rpcs_
-      GEKKO_GUARDED_BY(rpc_mutex_);
+  std::atomic<const RpcTable*> table_{nullptr};
+  /// Every entry and table ever published, kept until destruction so a
+  /// lookup racing a registration never reads a freed one.
+  std::vector<std::unique_ptr<RpcEntry>> entries_ GEKKO_GUARDED_BY(rpc_mutex_);
+  std::vector<std::unique_ptr<RpcTable>> tables_ GEKKO_GUARDED_BY(rpc_mutex_);
+
+  /// Requests that arrived before start() (start_paused), in order.
+  Mutex park_mutex_{"rpc.engine.park", lockdep::rank::kEnginePark};
+  std::vector<net::Message> parked_ GEKKO_GUARDED_BY(park_mutex_);
+  /// False while paused. Set under park_mutex_; read lock-free first.
+  std::atomic<bool> started_{false};
 
   /// Caller metrics per rpc id: lock-free lookup via an atomic slot
   /// array (ids beyond the table share the last slot, labelled by the

@@ -7,6 +7,8 @@
 #include <thread>
 
 #include "common/lockdep.h"
+#include "common/queue.h"
+#include "common/trace.h"
 #include "net/fabric.h"
 #include "rpc/engine.h"
 #include "task/future.h"
@@ -24,10 +26,23 @@ const bool kLockdepOn = [] {
 
 // ---------- fabric ----------
 
+/// Queue-backed endpoint: keeps what the fabric delivers for the test
+/// to read back.
+struct QueueEndpoint {
+  BlockingQueue<net::Message> queue;
+  net::Deliver deliver() {
+    return [this](net::Message m) {
+      // status-ignored-ok: the queue is open for the test's lifetime
+      (void)queue.push(std::move(m));
+    };
+  }
+};
+
 TEST(FabricTest, RegisterSendReceive) {
   net::LoopbackFabric fabric;
-  auto [id_a, inbox_a] = fabric.register_endpoint();
-  auto [id_b, inbox_b] = fabric.register_endpoint();
+  QueueEndpoint ep_a, ep_b;
+  const auto id_a = fabric.register_endpoint(ep_a.deliver());
+  const auto id_b = fabric.register_endpoint(ep_b.deliver());
   EXPECT_NE(id_a, id_b);
   EXPECT_EQ(fabric.endpoint_count(), 2u);
 
@@ -37,12 +52,21 @@ TEST(FabricTest, RegisterSendReceive) {
   msg.payload = {1, 2, 3};
   ASSERT_TRUE(fabric.send(id_b, std::move(msg)).is_ok());
 
-  auto received = inbox_b->try_receive();
+  auto received = ep_b.queue.try_pop();
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->rpc_id, 7);
   EXPECT_EQ(received->source, id_a);
   EXPECT_EQ(received->payload, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_FALSE(inbox_a->try_receive().has_value());
+  EXPECT_FALSE(ep_a.queue.try_pop().has_value());
+}
+
+TEST(FabricTest, DeliveryRunsOnTheSendersThread) {
+  net::LoopbackFabric fabric;
+  std::thread::id delivered_on;
+  const auto id = fabric.register_endpoint(
+      [&](net::Message) { delivered_on = std::this_thread::get_id(); });
+  ASSERT_TRUE(fabric.send(id, net::Message{}).is_ok());
+  EXPECT_EQ(delivered_on, std::this_thread::get_id());
 }
 
 TEST(FabricTest, SendToUnknownEndpointFails) {
@@ -52,17 +76,37 @@ TEST(FabricTest, SendToUnknownEndpointFails) {
 
 TEST(FabricTest, DeregisteredEndpointRejectsTraffic) {
   net::LoopbackFabric fabric;
-  auto [id, inbox] = fabric.register_endpoint();
+  QueueEndpoint ep;
+  const auto id = fabric.register_endpoint(ep.deliver());
   fabric.deregister(id);
   EXPECT_EQ(fabric.send(id, net::Message{}).code(), Errc::disconnected);
-  EXPECT_FALSE(inbox->receive().has_value());  // closed, drains empty
+  EXPECT_FALSE(ep.queue.try_pop().has_value());
+  EXPECT_EQ(fabric.endpoint_count(), 0u);
+}
+
+TEST(FabricTest, DeregisterWaitsForRunningDelivery) {
+  // deregister() must not return while a delivery into the endpoint is
+  // still running: the endpoint's owner is destroyed right after.
+  net::LoopbackFabric fabric;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  const auto id = fabric.register_endpoint([&](net::Message) {
+    entered.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished.store(true);
+  });
+  std::thread sender([&] { EXPECT_TRUE(fabric.send(id, {}).is_ok()); });
+  while (!entered.load()) std::this_thread::yield();
+  fabric.deregister(id);
+  EXPECT_TRUE(finished.load());
+  sender.join();
 }
 
 TEST(FabricTest, FifoPerSenderPair) {
   net::LoopbackFabric fabric;
-  auto [a, inbox_a] = fabric.register_endpoint();
-  (void)inbox_a;
-  auto [b, inbox_b] = fabric.register_endpoint();
+  QueueEndpoint ep_a, ep_b;
+  const auto a = fabric.register_endpoint(ep_a.deliver());
+  const auto b = fabric.register_endpoint(ep_b.deliver());
   for (std::uint64_t i = 0; i < 100; ++i) {
     net::Message m;
     m.seq = i;
@@ -70,7 +114,7 @@ TEST(FabricTest, FifoPerSenderPair) {
     ASSERT_TRUE(fabric.send(b, std::move(m)).is_ok());
   }
   for (std::uint64_t i = 0; i < 100; ++i) {
-    auto m = inbox_b->try_receive();
+    auto m = ep_b.queue.try_pop();
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->seq, i);
   }
@@ -78,20 +122,19 @@ TEST(FabricTest, FifoPerSenderPair) {
 
 TEST(FabricTest, BlackholeDropsSilently) {
   net::LoopbackFabric fabric;
-  auto [a, inbox_a] = fabric.register_endpoint();
-  (void)a;
-  (void)inbox_a;
-  auto [b, inbox_b] = fabric.register_endpoint();
+  QueueEndpoint ep_a, ep_b;
+  (void)fabric.register_endpoint(ep_a.deliver());
+  const auto b = fabric.register_endpoint(ep_b.deliver());
   fabric.set_fault_plan(net::FaultPlan{.blackhole = b});
   EXPECT_TRUE(fabric.send(b, net::Message{}).is_ok());  // silent loss
-  EXPECT_FALSE(inbox_b->try_receive().has_value());
+  EXPECT_FALSE(ep_b.queue.try_pop().has_value());
   EXPECT_EQ(fabric.stats().messages_dropped, 1u);
 }
 
 TEST(FabricTest, ProbabilisticDrop) {
   net::LoopbackFabric fabric;
-  auto [a, inbox] = fabric.register_endpoint();
-  (void)a;
+  QueueEndpoint ep;
+  (void)fabric.register_endpoint(ep.deliver());
   fabric.set_fault_plan(net::FaultPlan{.drop_one_in = 4});
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(fabric.send(0, net::Message{}).is_ok());
@@ -100,7 +143,7 @@ TEST(FabricTest, ProbabilisticDrop) {
   EXPECT_EQ(stats.messages_dropped, 25u);
   EXPECT_EQ(stats.messages_sent, 75u);
   int received = 0;
-  while (inbox->try_receive().has_value()) ++received;
+  while (ep.queue.try_pop().has_value()) ++received;
   EXPECT_EQ(received, 75);
 }
 
@@ -322,8 +365,8 @@ TEST_F(RpcTest, PipelinedBeginFinish) {
 
 // Regression for the daemon startup window: the listener binds before
 // handlers exist, so a fast client's first rpc used to bounce with
-// not_supported. With start_paused the early request queues in the
-// inbox and dispatches once the owner calls start().
+// not_supported. With start_paused the early request parks in the
+// engine and dispatches once the owner calls start().
 TEST_F(RpcTest, StartPausedHoldsDispatchUntilHandlersRegistered) {
   rpc::Engine server(fabric_, {.name = "server", .start_paused = true});
   rpc::Engine client(fabric_, {.name = "client"});
@@ -339,6 +382,145 @@ TEST_F(RpcTest, StartPausedHoldsDispatchUntilHandlersRegistered) {
   auto r = client.finish(call);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ((*r)[0], 7);
+}
+
+TEST_F(RpcTest, InlineRunsOnDeliveryThreadPooledOnPoolThread) {
+  // Loopback delivers on the sender's thread, so an inline handler runs
+  // right on the caller's thread; a pooled one never does.
+  rpc::Engine server(fabric_, {.name = "server"});
+  std::thread::id inline_thread;
+  std::thread::id pooled_thread;
+  server.register_rpc(1, "inline", rpc::Dispatch::inline_delivery,
+                      [&](const net::Message&) {
+                        inline_thread = std::this_thread::get_id();
+                        return Result<std::vector<std::uint8_t>>(
+                            std::vector<std::uint8_t>{});
+                      });
+  server.register_rpc(2, "pooled", [&](const net::Message&) {
+    pooled_thread = std::this_thread::get_id();
+    return Result<std::vector<std::uint8_t>>(std::vector<std::uint8_t>{});
+  });
+  rpc::Engine client(fabric_, {.name = "client"});
+  ASSERT_TRUE(client.forward(server.endpoint(), 1, {}).is_ok());
+  ASSERT_TRUE(client.forward(server.endpoint(), 2, {}).is_ok());
+  EXPECT_EQ(inline_thread, std::this_thread::get_id());
+  EXPECT_NE(pooled_thread, std::this_thread::get_id());
+  EXPECT_NE(pooled_thread, std::thread::id{});
+}
+
+TEST_F(RpcTest, InlineHandlerKeepsCallersTraceContext) {
+  // An inline handler on a client's thread runs under the request's
+  // trace context, and the client's own context is back afterwards.
+  rpc::Engine server(fabric_, {.name = "server"});
+  trace::SpanContext seen{};
+  server.register_rpc(1, "inline", rpc::Dispatch::inline_delivery,
+                      [&](const net::Message&) {
+                        seen = trace::current();
+                        trace::stage_add("io", 5);
+                        return Result<std::vector<std::uint8_t>>(
+                            std::vector<std::uint8_t>{});
+                      });
+  rpc::Engine client(fabric_, {.name = "client"});
+  const trace::SpanContext mine{0x1234, 0x5678};
+  trace::ContextGuard guard(mine);
+  trace::stages_reset();
+  trace::stage_add("client", 7);
+  ASSERT_TRUE(client.forward(server.endpoint(), 1, {}).is_ok());
+  EXPECT_EQ(seen.trace_id, mine.trace_id);  // the call continues our trace
+  EXPECT_NE(seen.span_id, mine.span_id);    // under the service span
+  EXPECT_EQ(trace::current().trace_id, mine.trace_id);
+  EXPECT_EQ(trace::current().span_id, mine.span_id);
+  const auto stages = trace::stages_snapshot();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_STREQ(stages[0].first, "client");
+  EXPECT_EQ(stages[0].second, 7u);
+}
+
+TEST_F(RpcTest, RegistrationRacesDeliveries) {
+  // Registering rpcs while requests for another id are being served:
+  // the request path reads the published table without a lock, so
+  // every call still finds its handler (TSan clean).
+  rpc::Engine server(fabric_, {.handler_threads = 2, .name = "server"});
+  server.register_rpc(1, "echo", rpc::Dispatch::inline_delivery,
+                      [](const net::Message& msg) {
+                        return Result<std::vector<std::uint8_t>>(msg.payload);
+                      });
+  rpc::Engine client(fabric_, {.name = "client"});
+  std::atomic<bool> stop{false};
+  std::atomic<int> calls{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 2; ++t) {
+    senders.emplace_back([&] {
+      while (!stop.load()) {
+        if (!client.forward(server.endpoint(), 1, {3}).is_ok()) {
+          failures.fetch_add(1);
+        }
+        calls.fetch_add(1);
+      }
+    });
+  }
+  while (calls.load() < 20) std::this_thread::yield();
+  for (std::uint16_t id = 2; id < 40; ++id) {
+    server.register_rpc(id, "id" + std::to_string(id),
+                        [](const net::Message& msg) {
+                          return Result<std::vector<std::uint8_t>>(
+                              msg.payload);
+                        });
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (auto& s : senders) s.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(client.forward(server.endpoint(), 39, {9}).is_ok());
+}
+
+TEST_F(RpcTest, ShutdownRacingDeliveriesIsClean) {
+  // An engine torn down while other threads keep delivering into it:
+  // deregister() waits out every running delivery, so no handler or
+  // reply touches a destroyed engine (TSan/ASan clean). Each sender
+  // keeps calling until the server is gone; before that every call
+  // succeeds, after it every call fails with disconnected.
+  for (int round = 0; round < 20; ++round) {
+    auto server = std::make_unique<rpc::Engine>(
+        fabric_, rpc::EngineOptions{.name = "server"});
+    server->register_rpc(1, "inline", rpc::Dispatch::inline_delivery,
+                         [](const net::Message& msg) {
+                           return Result<std::vector<std::uint8_t>>(
+                               msg.payload);
+                         });
+    server->register_rpc(2, "pooled", [](const net::Message& msg) {
+      return Result<std::vector<std::uint8_t>>(msg.payload);
+    });
+    const net::EndpointId target = server->endpoint();
+    rpc::Engine client(fabric_, {.rpc_timeout = std::chrono::seconds(5),
+                                 .name = "client"});
+    std::atomic<bool> go{false};
+    std::atomic<int> ok{0};
+    std::atomic<int> bad{0};
+    std::vector<std::thread> senders;
+    for (int t = 0; t < 3; ++t) {
+      senders.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0;; ++i) {
+          const auto id = static_cast<std::uint16_t>(1 + (i + t) % 2);
+          auto r = client.forward(target, id, {1});
+          if (r.is_ok()) {
+            ok.fetch_add(1);
+            continue;
+          }
+          if (r.code() != Errc::disconnected) bad.fetch_add(1);
+          return;
+        }
+      });
+    }
+    go.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds(500 + 100 * round));
+    server.reset();
+    for (auto& s : senders) s.join();
+    EXPECT_EQ(bad.load(), 0) << "round " << round;
+    EXPECT_GT(ok.load(), 0) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "net/frame_codec.h"
 #include "net/transport.h"
 #include "rpc/engine.h"
+#include "task/future.h"
 
 namespace gekko {
 namespace {
@@ -285,8 +286,8 @@ TEST(TransportSelection, OverlongSocketPathFailsCleanly) {
       io::write_file_atomic(hostfile, "0 " + long_path + "\n").is_ok());
   auto fabric = net::make_fabric(hostfile, {});
   ASSERT_TRUE(fabric.is_ok());
-  auto [id, inbox] = (*fabric)->register_endpoint();
-  ASSERT_NE(inbox, nullptr);
+  ASSERT_NE((*fabric)->register_endpoint([](net::Message) {}),
+            net::kInvalidEndpoint);
   net::Message msg;
   msg.kind = net::MessageKind::request;
   msg.rpc_id = 1;
@@ -296,7 +297,8 @@ TEST(TransportSelection, OverlongSocketPathFailsCleanly) {
   // A daemon on that path fails its listener with the same error.
   auto daemon = net::make_fabric(hostfile, {.self_id = 0});
   ASSERT_TRUE(daemon.is_ok());
-  EXPECT_EQ((*daemon)->register_endpoint().first, net::kInvalidEndpoint);
+  EXPECT_EQ((*daemon)->register_endpoint([](net::Message) {}),
+            net::kInvalidEndpoint);
   std::filesystem::remove_all(dir);
 }
 
@@ -602,18 +604,15 @@ TEST_P(StreamFabricTest, ListenerFailureRollsBackRegistration) {
   auto fabric = net::make_fabric(hostfile, {.self_id = 0});
   ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
 
-  auto [id1, inbox1] = (*fabric)->register_endpoint();
-  EXPECT_EQ(id1, net::kInvalidEndpoint);
-  EXPECT_EQ(inbox1, nullptr);
+  EXPECT_EQ((*fabric)->register_endpoint([](net::Message) {}),
+            net::kInvalidEndpoint);
 
   if (family() == net::Transport::uds) {
     ASSERT_TRUE(io::ensure_dir(dir_ / "not-yet").is_ok());
   } else {
     ::close(blocker);
   }
-  auto [id2, inbox2] = (*fabric)->register_endpoint();
-  EXPECT_EQ(id2, 0u);
-  EXPECT_NE(inbox2, nullptr);
+  EXPECT_EQ((*fabric)->register_endpoint([](net::Message) {}), 0u);
 }
 
 // --- hostile-peer / malformed-frame suite ------------------------------
@@ -736,8 +735,10 @@ TEST_P(StreamFabricTest, WrappingResponseRangeEvictsHostileServer) {
 
   std::vector<std::uint8_t> sink(4096, 0);
   std::optional<Result<std::vector<std::uint8_t>>> resp;
+  std::chrono::steady_clock::time_point answered;
   std::thread caller([&] {
     resp = client.forward(0, 7, {}, net::BulkRegion::expose_write(sink));
+    answered = std::chrono::steady_clock::now();
   });
 
   const int cfd = ::accept(lfd, nullptr, nullptr);
@@ -753,6 +754,7 @@ TEST_P(StreamFabricTest, WrappingResponseRangeEvictsHostileServer) {
   std::uint64_t seq = 0;
   std::memcpy(&seq, req.data() + 3, sizeof(seq));  // [kind u8][rpc u16][seq]
 
+  const auto sent = std::chrono::steady_clock::now();
   ASSERT_TRUE(send_all(
       cfd, hostile_frame(net::MessageKind::response, seq, 0,
                          [](Encoder& e) {
@@ -764,7 +766,10 @@ TEST_P(StreamFabricTest, WrappingResponseRangeEvictsHostileServer) {
 
   caller.join();
   ASSERT_TRUE(resp.has_value());
-  EXPECT_FALSE(resp->is_ok());
+  // The eviction fails the call at once: disconnected, long before the
+  // 2 s rpc timeout.
+  EXPECT_EQ(resp->code(), Errc::disconnected) << resp->status().to_string();
+  EXPECT_LT(answered - sent, std::chrono::milliseconds(1000));
   EXPECT_GT(wait_for_increase(evictions, before), before);
   // No byte of the wrapping range may have landed anywhere in the
   // region (a partial apply would leave 'X' bytes behind).
@@ -772,6 +777,113 @@ TEST_P(StreamFabricTest, WrappingResponseRangeEvictsHostileServer) {
 
   ::close(cfd);
   ::close(lfd);
+}
+
+TEST_P(StreamFabricTest, DeadConnectionFailsOnlyItsOwnCalls) {
+  // Daemon 0 is a raw listener that accepts and then hangs up; daemon 1
+  // is a real engine whose handler holds its call open. The hang-up
+  // fails the call to daemon 0 with disconnected at once, and leaves
+  // the call on daemon 1's connection alone.
+  std::string address;
+  const int lfd = listen_raw(family(), dir_, &address);
+  ASSERT_GE(lfd, 0);
+  std::string second = family() == net::Transport::tcp
+                           ? "127.0.0.1:0"
+                           : (dir_ / "d1.sock").string();
+  if (family() == net::Transport::tcp) {
+    const int probe = listen_raw(family(), dir_ / "probe", &second);
+    ASSERT_GE(probe, 0);
+    ::close(probe);  // a free port for daemon 1
+  }
+  const auto hostfile = dir_ / "hosts.txt";
+  ASSERT_TRUE(io::write_file_atomic(hostfile, "0 " + address + "\n1 " +
+                                                  second + "\n")
+                  .is_ok());
+
+  auto server_fabric = net::make_fabric(hostfile, {.self_id = 1});
+  ASSERT_TRUE(server_fabric.is_ok()) << server_fabric.status().to_string();
+  rpc::Engine server(**server_fabric, {.name = "held-server"});
+  task::Latch release(1);
+  server.register_rpc(1, "held", [&release](const net::Message& msg) {
+    release.wait();
+    return Result<std::vector<std::uint8_t>>(msg.payload);
+  });
+
+  auto client_fabric = net::make_fabric(hostfile, {});
+  ASSERT_TRUE(client_fabric.is_ok());
+  rpc::Engine client(**client_fabric,
+                     {.rpc_timeout = std::chrono::milliseconds(5000),
+                      .name = "two-links"});
+
+  auto held = client.begin_forward(1, 1, {5});
+  ASSERT_TRUE(held.send_status.is_ok());
+  auto doomed = client.begin_forward(0, 1, {6});
+  ASSERT_TRUE(doomed.send_status.is_ok());
+  const int cfd = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(cfd, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  ::close(cfd);  // hang up with the request unanswered
+
+  auto r0 = client.finish(doomed);
+  EXPECT_EQ(r0.code(), Errc::disconnected) << r0.status().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(1000));
+
+  release.count_down();
+  auto r1 = client.finish(held);
+  ASSERT_TRUE(r1.is_ok()) << r1.status().to_string();
+  EXPECT_EQ(*r1, (std::vector<std::uint8_t>{5}));
+  ::close(lfd);
+}
+
+TEST_P(StreamFabricTest, InlineRpcsPassABlockedPooledHandler) {
+  // One connection, a one-thread handler pool held by a pooled call:
+  // inline calls on the same connection still complete, on the server
+  // fabric's single loop thread, never on the pool thread.
+  auto hostfile = write_hosts(1);
+  ASSERT_TRUE(hostfile.is_ok());
+  auto server_fabric =
+      net::make_fabric(*hostfile, {.self_id = 0, .event_loops = 1});
+  ASSERT_TRUE(server_fabric.is_ok()) << server_fabric.status().to_string();
+  rpc::Engine server(**server_fabric,
+                     {.handler_threads = 1, .name = "mixed-server"});
+  // Each handler's writes reach this thread through its response, so
+  // the thread ids need no lock of their own.
+  task::Latch release(1);
+  std::thread::id pooled_thread;
+  server.register_rpc(1, "held", [&](const net::Message&) {
+    pooled_thread = std::this_thread::get_id();
+    release.wait();
+    return Result<std::vector<std::uint8_t>>(std::vector<std::uint8_t>{1});
+  });
+  std::vector<std::thread::id> inline_threads;
+  server.register_rpc(2, "stat", rpc::Dispatch::inline_delivery,
+                      [&](const net::Message& msg) {
+                        inline_threads.push_back(std::this_thread::get_id());
+                        return Result<std::vector<std::uint8_t>>(msg.payload);
+                      });
+
+  auto client_fabric = net::make_fabric(*hostfile, {});
+  ASSERT_TRUE(client_fabric.is_ok());
+  rpc::Engine client(**client_fabric,
+                     {.rpc_timeout = std::chrono::milliseconds(3000),
+                      .name = "mixed-client"});
+  auto held = client.begin_forward(0, 1, {});
+  ASSERT_TRUE(held.send_status.is_ok());
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    auto r = client.forward(0, 2, {i});
+    ASSERT_TRUE(r.is_ok()) << "i=" << int(i) << ": " << r.status().to_string();
+    EXPECT_EQ((*r)[0], i);
+  }
+  release.count_down();
+  ASSERT_TRUE(client.finish(held).is_ok());
+
+  ASSERT_EQ(inline_threads.size(), 16u);
+  for (const auto& t : inline_threads) {
+    EXPECT_EQ(t, inline_threads[0]);  // the one loop thread
+    EXPECT_NE(t, pooled_thread);
+    EXPECT_NE(t, std::this_thread::get_id());
+  }
 }
 
 // --- real daemon processes (fork + exec gkfsd) ------------------------

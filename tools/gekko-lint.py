@@ -23,9 +23,9 @@ relaxed          std::memory_order_relaxed is only allowed in files
 
 blocking-in-net  sleep_for / sleep( / usleep( / nanosleep( in
                  src/net/ or src/rpc/ (fabric event-loop threads,
-                 engine progress/handler paths) must be tagged
+                 engine delivery/handler paths) must be tagged
                  `// blocking-ok: <why>` on the same line — a sleep on
-                 a progress thread stalls every in-flight RPC.
+                 a delivery thread stalls every in-flight RPC.
 
 include-hygiene  every header under src/ starts with #pragma once;
                  no file includes the same header twice; any file
@@ -339,7 +339,7 @@ def lint_file(root: str, rel: str, errors: list[str]) -> None:
                 f"{rel}:{lineno}: blocking-in-net: sleep on a fabric/rpc "
                 f"thread stalls every in-flight RPC; tag the line "
                 f"`// blocking-ok: <why>` if it is genuinely off the "
-                f"progress path — {raw.strip()}")
+                f"delivery path — {raw.strip()}")
 
     if is_crash_file:
         for marker, count in crash_markers.items():

@@ -23,6 +23,11 @@ retry-class     every enumerator is classified explicitly in
                 probe. The default: clause is not classification — an
                 RPC must state its replay semantics where reviewers
                 see it.
+dispatch-class  every enumerator is classified explicitly in
+                rpc_dispatch_class() as inline_delivery / pooled: where
+                the daemon runs its handler is a reviewed decision
+                (an inline handler that waits on the fabric stalls a
+                delivery thread), never a fallthrough.
 handler         every enumerator is registered exactly once in
                 register_handlers_ via `bind(RpcId::x, "x", ...)`,
                 with the wire-name literal matching; no bind() for an
@@ -61,6 +66,7 @@ TESTS_DIR = "tests"
 CORPUS_DIR = "fuzz/corpus/proto"
 
 RETRY_CLASSES = ("idempotent", "non_idempotent", "probe")
+DISPATCH_CLASSES = ("inline_delivery", "pooled")
 
 
 def snake_case(name: str) -> str:
@@ -186,29 +192,45 @@ def check_rpc_name(tree: Tree, ids: dict[str, int],
                           f"not an RpcId enumerator")
 
 
-def check_retry_class(tree: Tree, ids: dict[str, int],
-                      errors: list[str]) -> None:
+def check_class_switch(tree: Tree, ids: dict[str, int], errors: list[str],
+                       rule: str, fn: str, enum: str,
+                       classes: tuple[str, ...], what: str) -> None:
+    """Every enumerator has `case RpcId::x: return <enum>::<class>;` in
+    the switch of `fn`, with <class> one of `classes`."""
     text = tree.read(MESSAGES) or ""
-    body = switch_body(text, "inline constexpr RpcRetryClass rpc_retry_class")
+    body = switch_body(text, f"inline constexpr {enum} {fn}")
     if body is None:
-        errors.append(f"{MESSAGES}: retry-class: rpc_retry_class() not found")
+        errors.append(f"{MESSAGES}: {rule}: {fn}() not found")
         return
     cases = dict(re.findall(
-        r"case\s+RpcId::(\w+)\s*:\s*return\s+RpcRetryClass::(\w+)\s*;",
-        body))
+        r"case\s+RpcId::(\w+)\s*:\s*return\s+" + re.escape(enum) +
+        r"::(\w+)\s*;", body))
     for name in ids:
         if name not in cases:
             errors.append(
-                f"{MESSAGES}: retry-class: RpcId::{name} is not classified "
-                f"in rpc_retry_class() — every RPC must state its replay "
-                f"semantics explicitly (idempotent / non_idempotent / probe)")
-        elif cases[name] not in RETRY_CLASSES:
-            errors.append(f"{MESSAGES}: retry-class: RpcId::{name} maps to "
-                          f"unknown class RpcRetryClass::{cases[name]}")
+                f"{MESSAGES}: {rule}: RpcId::{name} is not classified "
+                f"in {fn}() — every RPC must state its {what} explicitly "
+                f"({' / '.join(classes)})")
+        elif cases[name] not in classes:
+            errors.append(f"{MESSAGES}: {rule}: RpcId::{name} maps to "
+                          f"unknown class {enum}::{cases[name]}")
     for name in cases:
         if name not in ids:
-            errors.append(f"{MESSAGES}: retry-class: case RpcId::{name} is "
+            errors.append(f"{MESSAGES}: {rule}: case RpcId::{name} is "
                           f"not an RpcId enumerator")
+
+
+def check_retry_class(tree: Tree, ids: dict[str, int],
+                      errors: list[str]) -> None:
+    check_class_switch(tree, ids, errors, "retry-class", "rpc_retry_class",
+                       "RpcRetryClass", RETRY_CLASSES, "replay semantics")
+
+
+def check_dispatch_class(tree: Tree, ids: dict[str, int],
+                         errors: list[str]) -> None:
+    check_class_switch(tree, ids, errors, "dispatch-class",
+                       "rpc_dispatch_class", "rpc::Dispatch",
+                       DISPATCH_CLASSES, "handler placement")
 
 
 def check_handlers(tree: Tree, ids: dict[str, int],
@@ -399,6 +421,7 @@ def run_checks(tree: Tree) -> list[str]:
         return errors
     check_rpc_name(tree, ids, errors)
     check_retry_class(tree, ids, errors)
+    check_dispatch_class(tree, ids, errors)
     check_handlers(tree, ids, errors)
     rows = parse_codec_table(tree, errors)
     check_codec_table(rows, ids, errors)
@@ -449,6 +472,16 @@ def self_test(root: str) -> int:
                  "case RpcId::read_chunks: return RpcRetryClass::idempotent;",
                  ""),
          "retry-class: RpcId::read_chunks is not classified"),
+        ("dispatch classification removed",
+         mutated(MESSAGES,
+                 "case RpcId::stat: return rpc::Dispatch::inline_delivery;",
+                 ""),
+         "dispatch-class: RpcId::stat is not classified"),
+        ("dispatch class misspelled",
+         mutated(MESSAGES,
+                 "case RpcId::read_chunks: return rpc::Dispatch::pooled;",
+                 "case RpcId::read_chunks: return rpc::Dispatch::progress;"),
+         "dispatch-class: RpcId::read_chunks maps to unknown class"),
         ("handler registration removed",
          mutated(DAEMON, 'bind(RpcId::heartbeat, "heartbeat", ', "skip("),
          "handler: RpcId::heartbeat has no bind()"),
